@@ -1,11 +1,22 @@
-"""Pure braid words: Artin action, combing coordinates, ordering, invariants.
+"""Pure braid words: combing, ordering, invariants, and the Artin action.
 
 A pure braid on n strands is a word in the generators A_ij (1 <= i < j <= n),
-each a full twist of strands i and j.  The Artin action on the free group
-F_n = <x_1..x_n> is the faithful workhorse: equality of braids is equality
-of automorphisms, and the combing coordinates are read off the action.
+each a full twist of strands i and j.  Combing writes it as one free word
+per level of P_n -> P_{n-1} -> ..., the kernel at level n being free on
+y_i = A_in; the factors are a normal form, so equality and triviality of
+braids are equality and triviality of factors.  Combing is a collection
+pass, one per level: a fiber letter is appended to the fiber word F with
+free reduction, and a base letter l (j < n) moves left through F as
+F -> l^-1 F l, substituting y_k -> (fiber word of l^-1 A_kn l), and is
+passed down to the next level.  The substitution table is read off the
+Artin action of the three-letter braids themselves.  Combing thus costs
+in proportion to the size of the factors, not to that of Artin images,
+which grow exponentially in braid length.
 
-Conventions (all exercised by a calibration self-test rather than trusted):
+The Artin action on F_n = <x_1..x_n> is faithful and stays the independent
+oracle: the table is read off it, ``conjugation_relators`` checks every
+relator through it, and the tests check combing against it.  Conventions
+(all exercised by a calibration self-test rather than trusted):
 
 - sigma_k sends x_k -> x_k x_{k+1} x_k^-1 and x_{k+1} -> x_k;
 - A_ij = sigma_{j-1} .. sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 .. sigma_{j-1}^-1;
@@ -25,7 +36,13 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .freegroup import FreeWord, magnus_compare, magnus_expand, reduce_letters
+from .freegroup import (
+    FreeWord,
+    magnus_compare,
+    magnus_expand,
+    magnus_witness,
+    reduce_letters,
+)
 from .series import Coeff, Monomial, Verdict
 
 DEFAULT_FT_TRUNC = 4  # truncation used by finite-type invariant evaluation
@@ -62,9 +79,11 @@ class PureBraidWord:
             raise ValueError(f"strands must be >= 2, got {self.strands}")
         for i, j, s in self.letters:
             if not 1 <= i < j <= self.strands:
-                raise ValueError(f"bad generator A{i}{j} for {self.strands} strands")
+                raise ValueError(
+                    f"bad generator {_label(i, j)} for {self.strands} strands"
+                )
             if s not in (1, -1):
-                raise ValueError(f"bad sign {s} on A{i}{j}")
+                raise ValueError(f"bad sign {s} on {_label(i, j)}")
 
     @classmethod
     def identity(cls, strands: int) -> PureBraidWord:
@@ -99,7 +118,7 @@ class PureBraidWord:
 # Artin action.
 
 
-def _substitute(images: _Images, word: tuple[int, ...]) -> tuple[int, ...]:
+def _substitute(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for letter in word:
         img = images[abs(letter) - 1]
@@ -133,9 +152,13 @@ def _sigma_word(i: int, j: int, sign: int) -> tuple[tuple[int, int], ...]:
     return tuple(word)
 
 
+def _identity_images(strands: int) -> _Images:
+    return tuple((g,) for g in range(1, strands + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _gen_images(n: int, i: int, j: int, sign: int) -> _Images:
-    images: _Images = tuple((g,) for g in range(1, n + 1))
+    images = _identity_images(n)
     for k, s in _sigma_word(i, j, sign):
         sigma = _sigma_images(n, k, s)
         images = tuple(_substitute(sigma, w) for w in images)
@@ -144,44 +167,35 @@ def _gen_images(n: int, i: int, j: int, sign: int) -> _Images:
 
 @functools.lru_cache(maxsize=1 << 14)
 def _artin_images(strands: int, letters: tuple[tuple[int, int, int], ...]) -> _Images:
-    images: _Images = tuple((g,) for g in range(1, strands + 1))
+    images = _identity_images(strands)
     for i, j, s in letters:
         gen = _gen_images(strands, i, j, s)
         images = tuple(_substitute(gen, w) for w in images)
     return images
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _single_image(
-    strands: int, letters: tuple[tuple[int, int, int], ...], g: int
-) -> tuple[int, ...]:
-    word: tuple[int, ...] = (g,)
-    for i, j, s in letters:
-        word = _substitute(_gen_images(strands, i, j, s), word)
-    return word
-
-
 def artin_automorphism(w: PureBraidWord) -> tuple[FreeWord, ...]:
     """Images of x_1..x_n under the braid's action on F_n.
 
-    This representation is faithful, so it doubles as the equality oracle
-    for braid words.
+    This representation is faithful and independent of combing, so it is
+    the oracle that combing, equality and the relators are checked against.
+    Image lengths grow exponentially in braid length.
     """
     images = _artin_images(w.strands, w.letters)
     return tuple(FreeWord(w.strands, img) for img in images)
 
 
 def braid_equal(a: PureBraidWord, b: PureBraidWord) -> bool:
-    """Exact equality in P_n via the faithful Artin representation."""
+    """Exact equality in P_n: combing is a normal form, so two words are
+    the same braid exactly when their combed factors agree."""
     if a.strands != b.strands:
         raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
-    return _artin_images(a.strands, a.letters) == _artin_images(b.strands, b.letters)
+    return comb(a).factors == comb(b).factors
 
 
 def is_trivial(w: PureBraidWord) -> bool:
-    return _artin_images(w.strands, w.letters) == tuple(
-        (g,) for g in range(1, w.strands + 1)
-    )
+    """Whether the braid is the identity: every combed factor is empty."""
+    return not any(f.letters for f in comb(w).factors)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +219,7 @@ def strand_inclusion(w: PureBraidWord, strands: int) -> PureBraidWord:
 
 def _extract_fiber_word(w: PureBraidWord) -> FreeWord:
     n = w.strands
-    image = _single_image(n, w.letters, n)
+    image = _artin_images(n, w.letters)[n - 1]
     if image == (n,):
         return FreeWord.identity(n - 1)
     if len(image) % 2 == 0 or image[len(image) // 2] != n:
@@ -241,19 +255,18 @@ def _run_calibration() -> bool:
 def fiber_coordinates(w: PureBraidWord) -> FreeWord:
     """Coordinates of a kernel element in the free fiber of P_n -> P_{n-1}.
 
-    The fiber is free on y_1..y_{n-1} with y_i corresponding to A_in.
-    Requires forget_strand(w) to be trivial (checked through the Artin
-    action); raises FiberExtractionError otherwise.
+    The fiber is free on y_1..y_{n-1} with y_i corresponding to A_in, and
+    the coordinates are the top combed factor.  Requires forget_strand(w)
+    to be trivial, that is every lower combed factor to be empty; raises
+    FiberExtractionError otherwise.
     """
-    _run_calibration()
-    if w.strands >= 3:
-        base = forget_strand(w)
-        if not is_trivial(base):
-            raise FiberExtractionError(
-                f"braid {format_braid(w)!r} is not in the kernel of forgetting "
-                f"strand {w.strands}"
-            )
-    return _extract_fiber_word(w)
+    factors = comb(w).factors
+    if any(f.letters for f in factors[:-1]):
+        raise FiberExtractionError(
+            f"braid {format_braid(w)!r} is not in the kernel of forgetting "
+            f"strand {w.strands}"
+        )
+    return factors[-1]
 
 
 @dataclass(frozen=True)
@@ -286,21 +299,45 @@ class CombedBraid:
         return PureBraidWord(self.strands, tuple(letters))
 
 
+@functools.lru_cache(maxsize=None)
+def _conjugation_table(strands: int, letter: tuple[int, int, int]) -> _Images:
+    """The row of a base letter l = A_ij^(+-1), j < n = strands: the fiber
+    words of l^-1 A_kn l for k = 1..n-1, read off the Artin action of those
+    three-letter braids.  Rows are built on first use."""
+    i, j, s = letter
+    return tuple(
+        _extract_fiber_word(
+            PureBraidWord(strands, ((i, j, -s), (k, strands, 1), (i, j, s)))
+        ).letters
+        for k in range(1, strands)
+    )
+
+
 @functools.lru_cache(maxsize=1 << 13)
 def _comb_cached(strands: int, letters: tuple[tuple[int, int, int], ...]) -> CombedBraid:
-    w = PureBraidWord(strands, letters)
+    # Collect w = B F with B in the base and F in the fiber: a fiber letter
+    # extends F, a base letter l moves left through F as F -> l^-1 F l.
+    fiber: list[int] = []
+    base: list[tuple[int, int, int]] = []
+    for letter in letters:
+        i, j, s = letter
+        if j < strands:
+            fiber = list(_substitute(_conjugation_table(strands, letter), fiber))
+            base.append(letter)
+        elif fiber and fiber[-1] == -s * i:
+            fiber.pop()
+        else:
+            fiber.append(s * i)
+    top = FreeWord(strands - 1, tuple(fiber))
     if strands == 2:
-        return CombedBraid(2, (_extract_fiber_word(w),))
-    base = forget_strand(w)
-    lifted = strand_inclusion(base, strands)
-    kernel_part = lifted.inverse() * w  # in the kernel by construction
-    top = _extract_fiber_word(kernel_part)
-    inner = _comb_cached(base.strands, base.letters)
+        return CombedBraid(2, (top,))
+    inner = _comb_cached(strands - 1, tuple(base))
     return CombedBraid(strands, inner.factors + (top,))
 
 
 def comb(w: PureBraidWord) -> CombedBraid:
-    """Full Artin combing of a pure braid word."""
+    """Full Artin combing of a pure braid word, by one collection pass per
+    level over the calibrated conjugation table (see the module notes)."""
     _run_calibration()
     return _comb_cached(w.strands, w.letters)
 
@@ -334,8 +371,6 @@ def braid_witness(
     ca, cb = comb(a), comb(b)
     for level, (fa, fb) in enumerate(zip(ca.factors, cb.factors), start=1):
         if fa.letters != fb.letters:
-            from .freegroup import magnus_witness
-
             verdict, key, va, vb = magnus_witness(fa, fb)
             return verdict, level, key, va, vb
     return Verdict.EQUAL, None, None, 0, 0
@@ -437,8 +472,9 @@ def conjugation_relators(strands: int) -> tuple[PureBraidWord, ...]:
 
     Each relator is g^e h g^-e * (combing normal word of g^e h g^-e)^-1:
     trivial in the group by construction and verified trivial through the
-    Artin action, so no transcription from a published presentation can
-    drift out of sync with the conventions used here.
+    Artin action, not through combing, so no transcription from a published
+    presentation can drift out of sync with the conventions used here, and
+    a wrong entry of the conjugation table fails here.
     """
     relators: list[PureBraidWord] = []
     for gi in all_generators(strands):
@@ -453,7 +489,7 @@ def conjugation_relators(strands: int) -> tuple[PureBraidWord, ...]:
                 relator = conjugate * normal.inverse()
                 if not relator.letters:
                     continue
-                if not is_trivial(relator):
+                if _artin_images(strands, relator.letters) != _identity_images(strands):
                     raise CalibrationError(
                         f"generated relator is not trivial: {format_braid(relator)}"
                     )
@@ -481,7 +517,13 @@ def random_pure_braid(rng: random.Random, strands: int, length: int) -> PureBrai
 
 
 _BRAID_TOKEN_RE = re.compile(r"\S+")
-_BRAID_FORM_RE = re.compile(r"^(\*)?A(\d)(\d)(?:\^(-?\d+))?$")
+# A12 for single-digit indices, A1,10 in general; * marks, ^e is a power.
+_BRAID_FORM_RE = re.compile(r"^(\*)?A(?:(\d)(\d)|(\d+),(\d+))(?:\^(-?\d+))?$")
+
+
+def _label(i: int, j: int) -> str:
+    """Generator text: A12, or A1,10 once an index has two digits."""
+    return f"A{i}{j}" if max(i, j) < 10 else f"A{i},{j}"
 
 
 def _parse_braid_tokens(
@@ -498,13 +540,13 @@ def _parse_braid_tokens(
         if m is None:
             raise BraidSyntaxError(f"unrecognized token {token!r}", column)
         marked = m.group(1) is not None
-        i, j = int(m.group(2)), int(m.group(3))
-        power = int(m.group(4)) if m.group(4) is not None else 1
+        i, j = map(int, m.group(2, 3) if m.group(2) is not None else m.group(4, 5))
+        power = int(m.group(6)) if m.group(6) is not None else 1
         if not 1 <= i < j:
-            raise BraidSyntaxError(f"need i < j in A{i}{j}", column)
+            raise BraidSyntaxError(f"need i < j in {_label(i, j)}", column)
         if strands is not None and j > strands:
             raise BraidSyntaxError(
-                f"generator A{i}{j} needs more than {strands} strands", column
+                f"generator {_label(i, j)} needs more than {strands} strands", column
             )
         if power == 0:
             continue
@@ -540,7 +582,7 @@ def format_braid(w: PureBraidWord) -> str:
     if not w.letters:
         return "1"
     return " ".join(
-        f"A{i}{j}" if s > 0 else f"A{i}{j}^-1" for (i, j, s) in w.letters
+        _label(i, j) if s > 0 else f"{_label(i, j)}^-1" for (i, j, s) in w.letters
     )
 
 
@@ -551,5 +593,5 @@ def format_singular_braid(s: SingularBraid) -> str:
     parts = []
     for pos, (i, j, sign) in enumerate(s.word.letters):
         star = "*" if pos in marked else ""
-        parts.append(f"{star}A{i}{j}" if sign > 0 else f"{star}A{i}{j}^-1")
+        parts.append(star + _label(i, j) + ("" if sign > 0 else "^-1"))
     return " ".join(parts)

@@ -119,6 +119,7 @@ def test_commuting_generators_commute():
     # A12 and A34 involve disjoint strand pairs.
     a, b = gen(4, 1, 2), gen(4, 3, 4)
     assert braid_equal(a * b, b * a)
+    assert artin_automorphism(a * b) == artin_automorphism(b * a)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_fiber_coordinates_roundtrip_on_general_kernel_elements():
         lift = PureBraidWord(
             n, tuple((abs(l), n, 1 if l > 0 else -1) for l in y.letters)
         )
-        assert braid_equal(lift, u)
+        assert artin_automorphism(lift) == artin_automorphism(u)
 
 
 def test_fiber_coordinates_rejects_non_kernel_input():
@@ -213,7 +214,7 @@ def test_comb_recombination_roundtrip():
         n = rng.choice([2, 3, 4])
         w = random_pure_braid(rng, n, rng.randrange(0, 7))
         back = comb(w).to_word()
-        assert braid_equal(back, w)
+        assert artin_automorphism(back) == artin_automorphism(w)
 
 
 def test_comb_is_injective_on_a_sample():
@@ -221,7 +222,7 @@ def test_comb_is_injective_on_a_sample():
     for _ in range(40):
         a = random_pure_braid(rng, 3, rng.randrange(0, 6))
         b = random_pure_braid(rng, 3, rng.randrange(0, 6))
-        if braid_equal(a, b):
+        if artin_automorphism(a) == artin_automorphism(b):
             assert comb(a).factors == comb(b).factors
         else:
             assert comb(a).factors != comb(b).factors
@@ -252,7 +253,7 @@ def test_compare_equality_agrees_with_braid_equal():
         a = random_pure_braid(rng, 3, rng.randrange(0, 5))
         b = random_pure_braid(rng, 3, rng.randrange(0, 5))
         same = braid_compare(a, b) is Verdict.EQUAL
-        assert same == braid_equal(a, b)
+        assert same == (artin_automorphism(a) == artin_automorphism(b))
 
 
 def test_compare_total_order_axioms_on_sample():
@@ -302,7 +303,9 @@ def test_generated_relators_are_trivial_and_plentiful():
     for n in (3, 4):
         relators = conjugation_relators(n)
         assert relators  # the presentation is not free for n >= 3
+        identity = artin_automorphism(PureBraidWord.identity(n))
         for rel in relators:
+            assert artin_automorphism(rel) == identity
             assert is_trivial(rel)
 
 
@@ -433,6 +436,28 @@ def test_parse_and_format_roundtrip():
     for _ in range(30):
         w = random_pure_braid(rng, rng.choice([2, 3, 4]), rng.randrange(0, 6))
         assert parse_braid(format_braid(w), strands=w.strands) == w
+
+
+def test_parse_and_format_roundtrip_on_ten_or_more_strands():
+    assert format_braid(gen(10, 1, 10)) == "A1,10"
+    assert format_braid(gen(11, 1, 11, -1)) == "A1,11^-1"
+    assert format_braid(gen(12, 10, 12)) == "A10,12"
+    assert format_braid(gen(10, 2, 9)) == "A29"
+    assert parse_braid("A1,10^-2 A2,3", strands=10).letters == (
+        (1, 10, -1), (1, 10, -1), (2, 3, 1),
+    )
+    assert parse_braid("A3,11").strands == 11
+    rng = random.Random(29)
+    for _ in range(30):
+        w = random_pure_braid(rng, rng.choice([10, 11, 12]), rng.randrange(0, 8))
+        assert parse_braid(format_braid(w), strands=w.strands) == w
+        marked = tuple(p for p, (_, _, sign) in enumerate(w.letters) if sign > 0)[:2]
+        singular = SingularBraid(w, marked)
+        text = format_singular_braid(singular)
+        assert parse_singular_braid(text, strands=w.strands) == singular
+    for token in ("A110", "A111", "A1,", "A,10", "A1,10,11"):
+        with pytest.raises(BraidSyntaxError):
+            parse_braid(token, strands=12)
 
 
 def test_parse_powers_and_identity():

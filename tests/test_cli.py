@@ -80,6 +80,16 @@ def test_comb_output(capsys):
     assert payload["normal_form"] == "A12 A13"
 
 
+def test_comb_on_ten_strands_uses_the_comma_form(capsys):
+    code, out, _ = run(capsys, "comb", "A1,10 A23", "--strands", "10", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["strands"] == 10
+    assert payload["braid"] == "A1,10 A23"
+    assert payload["factors"] == [[], [2]] + [[]] * 6 + [[1]]
+    assert payload["normal_form"] == "A23 A1,10"
+
+
 def test_invariants_output(capsys):
     code, out, _ = run(
         capsys, "invariants", "A13 A23", "--strands", "3", "--factor", "2",
