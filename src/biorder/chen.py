@@ -12,18 +12,26 @@ polynomial, so a modest Gauss-Legendre collocation cascade computes the
 integrals to near machine precision.  Each value carries an error estimate
 (disagreement of two node counts plus a rounding floor) and the comparison
 routine refuses to decide anything within its noise band.
+
+The integral of X_{i1}..X_{ik} is one step of the cascade past that of its
+prefix X_{i1}..X_{i(k-1)}, so the series is computed as a walk over the trie
+of index tuples, one degree at a time, that keeps each prefix's cascade
+state: Σ r^k steps through degree k instead of Σ k·r^k, with every value
+produced by the same floating-point operations as a cascade of its own.
+``holonomy_compare`` walks both loops in lockstep and stops at the deciding
+degree, so coefficients above it are never computed.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .freegroup import FreeWord
-from .series import Verdict, deglex_key
+from .series import Verdict
 
 MAX_HOLONOMY_TRUNC = 4  # the word count per degree grows as rank**degree
 DEFAULT_NODE_COUNTS = (26, 34, 46)
@@ -109,25 +117,71 @@ def _bump_at_nodes(nodes: int) -> np.ndarray:
     return np.asarray(bump_density(x))
 
 
-def _cascade(segments: tuple[int, ...], indices: tuple[int, ...], nodes: int) -> float:
-    """One pass of the nested-antiderivative recursion at a fixed node count."""
+def _step(
+    segments: tuple[int, ...],
+    level: list[np.ndarray | float],
+    target: int,
+    nodes: int,
+    keep_level: bool,
+) -> tuple[list[np.ndarray | float], float]:
+    """Extend a prefix's per-segment node values by ``target``: one level of
+    the nested-antiderivative recursion, with the new integral over the loop.
+
+    A segment of another generator holds its constant as a float, which numpy
+    broadcasts to the values an array of it would hold.  ``keep_level=False``
+    skips the arrays of a key nothing extends; the integral is the same.
+    """
     _, weights, matrix = _collocation(nodes)
     bump = _bump_at_nodes(nodes)
-    level = [np.ones(nodes) for _ in segments]
     carry = 0.0
-    for target in indices:
-        carry = 0.0
-        nxt: list[np.ndarray] = []
-        for letter, prev in zip(segments, level):
-            if abs(letter) == target:
-                sign = 1.0 if letter > 0 else -1.0
+    nxt: list[np.ndarray | float] = []
+    for letter, prev in zip(segments, level):
+        if abs(letter) == target:
+            sign = 1.0 if letter > 0 else -1.0
+            if keep_level:
                 local = sign * bump * prev
                 nxt.append(carry + matrix @ local)
-                carry = carry + sign * float(weights @ (bump * prev))
-            else:
-                nxt.append(np.full(nodes, carry))
-        level = nxt
+            carry = carry + sign * float(weights @ (bump * prev))
+        elif keep_level:
+            nxt.append(carry)
+    return nxt, carry
+
+
+def _cascade(segments: tuple[int, ...], indices: tuple[int, ...], nodes: int) -> float:
+    """One iterated integral at a fixed node count: the steps folded in turn."""
+    level: list[np.ndarray | float] = [1.0] * len(segments)
+    carry = 0.0
+    for depth, target in enumerate(indices, start=1):
+        level, carry = _step(segments, level, target, nodes, depth < len(indices))
     return carry
+
+
+def _ladder(
+    value_at: Callable[[int], float],
+    segments: tuple[int, ...],
+    indices: tuple[int, ...],
+    node_counts: tuple[int, ...],
+    tol: float,
+) -> tuple[float, float]:
+    """Climb the node counts until two consecutive values agree within
+    ``tol``, asking for each value only once the one below has not sufficed."""
+    floor = 1e-15 * (len(segments) + len(indices))
+    value = value_at(node_counts[0])
+    for nodes in node_counts[1:]:
+        refined = value_at(nodes)
+        estimate = abs(refined - value) + floor * (1.0 + abs(refined))
+        if estimate <= tol:
+            return refined, estimate
+        value = refined
+    raise QuadratureError(
+        f"integral for {indices} over {len(segments)} segments did not "
+        f"stabilize below {tol} on node counts {node_counts}"
+    )
+
+
+def _check_node_counts(node_counts: tuple[int, ...]) -> None:
+    if len(node_counts) < 2:
+        raise ValueError("need at least two node counts for an error estimate")
 
 
 def iterated_integral(
@@ -148,24 +202,49 @@ def iterated_integral(
     for i in indices:
         if not 1 <= i <= loop.rank:
             raise ValueError(f"index {i} out of range for rank {loop.rank}")
-    if len(node_counts) < 2:
-        raise ValueError("need at least two node counts for an error estimate")
+    _check_node_counts(node_counts)
     if not indices:
         return 1.0, 0.0
     if not loop.segments:
         return 0.0, 0.0
-    floor = 1e-15 * (len(loop.segments) + len(indices))
-    value = _cascade(loop.segments, indices, node_counts[0])
-    for nodes in node_counts[1:]:
-        refined = _cascade(loop.segments, indices, nodes)
-        estimate = abs(refined - value) + floor * (1.0 + abs(refined))
-        if estimate <= tol:
-            return refined, estimate
-        value = refined
-    raise QuadratureError(
-        f"integral for {indices} over {len(loop.segments)} segments did not "
-        f"stabilize below {tol} on node counts {node_counts}"
+    return _ladder(
+        lambda nodes: _cascade(loop.segments, indices, nodes),
+        loop.segments, indices, node_counts, tol,
     )
+
+
+def _walk(
+    loop: LoopModel, trunc: int, node_counts: tuple[int, ...], tol: float
+) -> Iterator[dict[tuple[int, ...], tuple[float, float]]]:
+    """One dict of (value, error) per degree 1..``trunc``, keys in lex order,
+    each computed only when asked for.
+
+    Each node count keeps the cascade state of every prefix it has reached,
+    so a monomial costs one ``_step`` past its prefix.
+    """
+    _check_node_counts(node_counts)
+    segments = loop.segments
+    reached = {nodes: {(): ([1.0] * len(segments), 0.0)} for nodes in node_counts}
+
+    def cascade(nodes: int, key: tuple[int, ...]) -> tuple[list, float]:
+        known = reached[nodes]
+        if key not in known:
+            level, _ = cascade(nodes, key[:-1])
+            known[key] = _step(segments, level, key[-1], nodes, len(key) < trunc)
+        return known[key]
+
+    keys: list[tuple[int, ...]] = [()]
+    for _ in range(trunc):
+        keys = [key + (i,) for key in keys for i in range(1, loop.rank + 1)]
+        if not segments:
+            yield {key: (0.0, 0.0) for key in keys}
+            continue
+        yield {
+            key: _ladder(
+                lambda nodes: cascade(nodes, key)[1], segments, key, node_counts, tol
+            )
+            for key in keys
+        }
 
 
 @dataclass(frozen=True)
@@ -204,11 +283,14 @@ class HolonomySeries:
         return HolonomySeries(self.rank, trunc, values, errors)
 
 
-def _all_keys(rank: int, trunc: int) -> list[tuple[int, ...]]:
-    keys: list[tuple[int, ...]] = [()]
-    for degree in range(1, trunc + 1):
-        keys.extend(itertools.product(range(1, rank + 1), repeat=degree))
-    return keys
+def _check_trunc(trunc: int, allow_deep: bool) -> None:
+    if trunc < 0:
+        raise ValueError(f"trunc must be >= 0, got {trunc}")
+    if trunc > MAX_HOLONOMY_TRUNC and not allow_deep:
+        raise ValueError(
+            f"trunc {trunc} exceeds {MAX_HOLONOMY_TRUNC}; the monomial count "
+            f"grows as rank**degree, pass allow_deep=True to accept the cost"
+        )
 
 
 def holonomy_series(
@@ -219,20 +301,18 @@ def holonomy_series(
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
     tol: float = DEFAULT_TOL,
 ) -> HolonomySeries:
-    """All iterated integrals of the loop through the given degree."""
-    if trunc < 0:
-        raise ValueError(f"trunc must be >= 0, got {trunc}")
-    if trunc > MAX_HOLONOMY_TRUNC and not allow_deep:
-        raise ValueError(
-            f"trunc {trunc} exceeds {MAX_HOLONOMY_TRUNC}; the monomial count "
-            f"grows as rank**degree, pass allow_deep=True to accept the cost"
-        )
-    values: dict[tuple[int, ...], float] = {}
-    errors: dict[tuple[int, ...], float] = {}
-    for key in _all_keys(loop.rank, trunc):
-        value, err = iterated_integral(loop, key, node_counts=node_counts, tol=tol)
-        values[key] = value
-        errors[key] = err
+    """All iterated integrals of the loop through the given degree.
+
+    One walk over the monomial trie; every value and error is the one
+    ``iterated_integral`` gives for its key.
+    """
+    _check_trunc(trunc, allow_deep)
+    values: dict[tuple[int, ...], float] = {(): 1.0}
+    errors: dict[tuple[int, ...], float] = {(): 0.0}
+    for coefficients in _walk(loop, trunc, node_counts, tol):
+        for key, (value, err) in coefficients.items():
+            values[key] = value
+            errors[key] = err
     return HolonomySeries(loop.rank, trunc, values, errors)
 
 
@@ -253,24 +333,24 @@ def holonomy_compare(
     equal words compare EQUAL outright; otherwise, if every monomial through
     ``trunc`` is inside the noise band, returns None (indeterminate) instead
     of guessing.
+
+    The walks of the two loops advance in lockstep, one degree at a time, and
+    the scan stops at the deciding degree: coefficients above it are never
+    computed, so a QuadratureError up there does not abort a comparison that
+    a lower degree has decided.
     """
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     if a.letters == b.letters:
         return Verdict.EQUAL
-    sa = holonomy_series(
-        LoopModel.from_word(a), trunc,
-        allow_deep=allow_deep, node_counts=node_counts, tol=tol,
-    )
-    sb = holonomy_series(
-        LoopModel.from_word(b), trunc,
-        allow_deep=allow_deep, node_counts=node_counts, tol=tol,
-    )
-    for key in sorted(_all_keys(a.rank, trunc), key=deglex_key):
-        if not key:
-            continue
-        diff = sa.coefficient(key) - sb.coefficient(key)
-        noise = sa.error(key) + sb.error(key) + margin
-        if abs(diff) > noise:
-            return Verdict.LESS if diff < 0 else Verdict.GREATER
+    _check_trunc(trunc, allow_deep)
+    walk_a = _walk(LoopModel.from_word(a), trunc, node_counts, tol)
+    walk_b = _walk(LoopModel.from_word(b), trunc, node_counts, tol)
+    for coeffs_a, coeffs_b in zip(walk_a, walk_b):
+        for key, (value_a, err_a) in coeffs_a.items():
+            value_b, err_b = coeffs_b[key]
+            diff = value_a - value_b
+            noise = err_a + err_b + margin
+            if abs(diff) > noise:
+                return Verdict.LESS if diff < 0 else Verdict.GREATER
     return None

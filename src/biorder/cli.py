@@ -6,8 +6,9 @@ for braids, ``holonomy`` for the numerical route, and ``verify`` for the
 randomized order-axiom harness.
 
 Exit codes: 0 on success (including an honest "indeterminate"), 1 on usage
-or input errors, 2 when ``verify`` finds a property violation.  The default
-expansion degree can be set with the BIORDER_DEGREE environment variable.
+or input errors and on a QuadratureError, 2 when ``verify`` finds a property
+violation.  The default expansion degree can be set with the BIORDER_DEGREE
+environment variable.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from .braid import (
     random_pure_braid,
     singular_alternating_sum,
 )
-from .chen import holonomy_compare, holonomy_series, LoopModel
+from .chen import (
+    MAX_HOLONOMY_TRUNC,
+    LoopModel,
+    QuadratureError,
+    holonomy_compare,
+    holonomy_series,
+)
 from .freegroup import (
     FreeWord,
     WordSyntaxError,
@@ -206,7 +213,17 @@ def _cmd_compare(args) -> int:
         }
     else:  # holonomy
         degree = args.degree if args.degree is not None else _default_degree()
-        verdict_or_none = holonomy_compare(a, b, trunc=degree)
+        try:
+            verdict_or_none = holonomy_compare(a, b, trunc=degree)
+        except ValueError:
+            # Freely equal words are EQUAL at any degree; only a real scan
+            # past the cap is refused, and compare has no --allow-deep.
+            if degree > MAX_HOLONOMY_TRUNC:
+                raise _UsageError(
+                    f"the holonomy route of compare is capped at degree "
+                    f"{MAX_HOLONOMY_TRUNC}, got {degree}"
+                )
+            raise
         if verdict_or_none is None:
             lines = [
                 f"{format_word(a)} ? {format_word(b)}",
@@ -310,6 +327,11 @@ def _cmd_singular_sum(args) -> int:
 def _cmd_holonomy(args) -> int:
     word = _parse_word_inferring_rank(args.word, args.rank)
     degree = args.degree if args.degree is not None else _default_degree()
+    if degree > MAX_HOLONOMY_TRUNC and not args.allow_deep:
+        raise _UsageError(
+            f"degree {degree} exceeds {MAX_HOLONOMY_TRUNC}; the monomial count "
+            f"grows as rank**degree, pass --allow-deep to accept the cost"
+        )
     series = holonomy_series(
         LoopModel.from_word(word), degree, allow_deep=args.allow_deep
     )
@@ -504,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"biorder: error: {exc}", file=sys.stderr)
         return 1
-    except (WordSyntaxError, BraidSyntaxError, ValueError) as exc:
+    except (WordSyntaxError, BraidSyntaxError, ValueError, QuadratureError) as exc:
         print(f"biorder: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help and friends

@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biorder.chen import (
+    DEFAULT_MARGIN,
     DEFAULT_NODE_COUNTS,
     HolonomySeries,
     LoopModel,
@@ -19,7 +21,7 @@ from biorder.chen import (
     iterated_integral,
 )
 from biorder.freegroup import FreeWord, magnus_compare, random_reduced_word
-from biorder.series import Verdict
+from biorder.series import TruncSeries, Verdict, deglex_key, exp
 
 # --- exact oracle: the same nested antiderivatives, done symbolically ------
 #
@@ -96,6 +98,54 @@ def random_loop(rng: random.Random, rank: int, length: int) -> LoopModel:
         rng.choice([1, -1]) * rng.randrange(1, rank + 1) for _ in range(length)
     )
     return LoopModel(rank, segments)
+
+
+def signed_letters(rank: int) -> list[int]:
+    return [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
+
+
+@st.composite
+def loops(draw, max_segments: int = 12) -> LoopModel:
+    rank = draw(st.integers(1, 3))
+    segments = draw(
+        st.lists(st.sampled_from(signed_letters(rank)), max_size=max_segments)
+    )
+    return LoopModel(rank, tuple(segments))
+
+
+@st.composite
+def word_pairs(draw) -> tuple[FreeWord, FreeWord]:
+    """(a, a*c); c is often trivial, so a = b and empty words occur."""
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from(signed_letters(rank))
+    a = FreeWord.from_letters(rank, draw(st.lists(letters, max_size=8)))
+    c = FreeWord.from_letters(rank, draw(st.lists(letters, max_size=6)))
+    return a, a * c
+
+
+def full_scan_compare(a: FreeWord, b: FreeWord, trunc: int) -> Verdict | None:
+    """The comparison as first written: build both whole series, then scan."""
+    if a.letters == b.letters:
+        return Verdict.EQUAL
+    sa = holonomy_series(LoopModel.from_word(a), trunc)
+    sb = holonomy_series(LoopModel.from_word(b), trunc)
+    for key in sorted(all_keys(a.rank, trunc), key=deglex_key):
+        if not key:
+            continue
+        diff = sa.coefficient(key) - sb.coefficient(key)
+        noise = sa.error(key) + sb.error(key) + DEFAULT_MARGIN
+        if abs(diff) > noise:
+            return Verdict.LESS if diff < 0 else Verdict.GREATER
+    return None
+
+
+def exact_holonomy(loop: LoopModel, trunc: int) -> TruncSeries:
+    """Chen's theorem: the holonomy is the product of exp(+-X_i) along the loop."""
+    result = TruncSeries.unit(loop.rank, trunc)
+    for letter in loop.segments:
+        step = TruncSeries.generator(loop.rank, trunc, abs(letter))
+        result = result * exp(step.scale(1 if letter > 0 else -1))
+    return result
 
 
 # --- tests -----------------------------------------------------------------
@@ -260,3 +310,51 @@ def test_node_ladder_is_sane():
         iterated_integral(LoopModel(2, (1,)), (1,), node_counts=(26,))
     with pytest.raises(ValueError):
         iterated_integral(LoopModel(2, (1,)), (5,))
+
+
+# 4 nodes integrate a nested bump inexactly, so about a tenth of the keys
+# climb this ladder to its third rung, which the default ladder (exact from
+# 26 nodes on through degree 4) reaches only near its rounding floor.
+CLIMBING_LADDER = (4, 26, 34)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loops(), st.integers(0, 4), st.sampled_from([DEFAULT_NODE_COUNTS, CLIMBING_LADDER]))
+def test_series_equals_per_key_integrals_exactly(loop, trunc, node_counts):
+    series = holonomy_series(loop, trunc, node_counts=node_counts)
+    assert list(series.values) == all_keys(loop.rank, trunc)
+    for key in all_keys(loop.rank, trunc):
+        expected = iterated_integral(loop, key, node_counts=node_counts)
+        assert (series.values[key], series.errors[key]) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(word_pairs(), st.integers(0, 4))
+def test_compare_equals_full_series_scan(pair, trunc):
+    a, b = pair
+    assert holonomy_compare(a, b, trunc=trunc) is full_scan_compare(a, b, trunc)
+    assert holonomy_compare(b, a, trunc=trunc) is full_scan_compare(b, a, trunc)
+
+
+def test_error_bars_bound_the_exact_holonomy():
+    rng = random.Random(36)
+    checked = 0
+    for _ in range(150):
+        loop = random_loop(rng, rng.randint(1, 3), rng.randrange(0, 12))
+        series = holonomy_series(loop, trunc=4)
+        exact = exact_holonomy(loop, 4)
+        for key, value in series.values.items():
+            miss = abs(Fraction(value) - exact.coefficient(key))
+            assert miss <= Fraction(series.errors[key]), (loop, key)
+            checked += 1
+    assert checked > 5000
+
+
+def test_compare_decided_below_a_failing_degree():
+    # Degree 1 decides; degree 4 of x1^40 cannot pass the node ladder.
+    a = FreeWord(2, (1,) * 40)
+    b = FreeWord(2, (2,))
+    assert holonomy_compare(a, b) is magnus_compare(a, b) is Verdict.GREATER
+    assert holonomy_compare(b, a) is Verdict.LESS
+    with pytest.raises(QuadratureError):
+        holonomy_series(LoopModel.from_word(a), trunc=4)

@@ -6,7 +6,7 @@ import json
 
 from biorder.cli import main
 from biorder.series import from_json_obj
-from biorder.freegroup import magnus_expand, parse_word
+from biorder.freegroup import magnus_compare, magnus_expand, parse_word
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -117,6 +117,49 @@ def test_holonomy_subcommand(capsys):
     payload = json.loads(out)
     value, err = payload["coefficients"]["X1X1"]
     assert abs(value - 0.5) <= err + 1e-9
+
+
+def test_quadrature_failure_is_an_error_not_a_traceback(capsys):
+    # Degree 4 of x1^30 cannot pass the node ladder.
+    code, out, err = run(
+        capsys, "holonomy", " ".join(["x1"] * 30), "--rank", "1", "--degree", "4"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("biorder: error: integral for (1, 1, 1, 1)")
+    assert "did not stabilize" in err
+
+
+def test_holonomy_compare_decides_below_a_failing_degree(capsys):
+    left = " ".join(["x1"] * 40)
+    code, out, _ = run(
+        capsys, "compare", left, "x2", "--rank", "2", "--method", "holonomy", "--json"
+    )
+    assert code == 0
+    expected = magnus_compare(parse_word(left, 2), parse_word("x2", 2))
+    assert json.loads(out)["verdict"] == expected.name == "GREATER"
+
+
+def test_holonomy_degree_cap_names_real_options(capsys):
+    code, _, err = run(capsys, "holonomy", "x1 x2", "--degree", "5")
+    assert code == 1
+    assert "pass --allow-deep" in err
+    assert "allow_deep=True" not in err
+    code, out, _ = run(capsys, "holonomy", "x1", "--degree", "5", "--allow-deep")
+    assert code == 0
+    assert "X1X1X1X1X1:" in out
+    code, _, err = run(
+        capsys, "compare", "x1", "x2", "--method", "holonomy", "--degree", "5"
+    )
+    assert code == 1
+    assert "holonomy route of compare is capped at degree 4" in err
+    assert "allow" not in err
+    # Freely equal words stay EQUAL at any degree, as before.
+    code, out, _ = run(
+        capsys, "compare", "x1", "x1", "--method", "holonomy", "--degree", "5"
+    )
+    assert code == 0
+    assert out == "x1 == x1\n"
 
 
 def test_verify_passes_and_is_deterministic(capsys):
