@@ -6,9 +6,9 @@ for braids, ``holonomy`` for the numerical route, and ``verify`` for the
 randomized order-axiom harness.
 
 Exit codes: 0 on success (including an honest "indeterminate"), 1 on usage
-or input errors and on a QuadratureError, 2 when ``verify`` finds a property
-violation.  The default expansion degree can be set with the BIORDER_DEGREE
-environment variable.
+or input errors, on a QuadratureError and when the reader of stdout closes
+it early, 2 when ``verify`` finds a property violation.  The default
+expansion degree can be set with the BIORDER_DEGREE environment variable.
 """
 
 from __future__ import annotations
@@ -522,7 +522,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the guard
+        return code
+    except BrokenPipeError:
+        # The reader went away (``biorder ... | head``).  Point stdout at
+        # devnull so the flush at interpreter shutdown cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _UsageError as exc:
         print(f"biorder: error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,14 @@ indices (+i for x_i, -i for its inverse).  The Magnus expansion sends
 x_i to 1 + X_i and extends multiplicatively into truncated series; the
 Magnus ordering compares expansions coefficient by coefficient in DegLex
 order, escalating the truncation until a difference appears.
+
+``first_difference`` is the one kernel behind the lower-central-series
+depth and the class ladder: it raises the truncation of a single word one
+degree at a time and stops at the lowest nonzero degree of M(w) - 1,
+which never lies above the syllable count of w.  Since
+M(b) - M(a) = M(a)(M(a^-1 b) - 1), that degree is also where the
+expansions of a and b first differ, so the same bound caps the
+escalation of ``magnus_witness``.
 """
 
 from __future__ import annotations
@@ -26,16 +34,6 @@ class WordSyntaxError(ValueError):
     def __init__(self, message: str, column: int):
         super().__init__(f"col {column}: {message}")
         self.column = column
-
-
-class EscalationCeilingError(RuntimeError):
-    """Raised when the comparison escalation ceiling is reached.
-
-    The ceiling |a| + |b| is a checked assumption (expansions of distinct
-    words are observed to differ well before it); hitting it means either
-    a bug or an input outside the validated regime, so we fail loudly
-    instead of guessing.
-    """
 
 
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -183,12 +181,46 @@ def magnus_expand(w: FreeWord, trunc: int) -> TruncSeries:
     return _expand(w.rank, w.letters, trunc)
 
 
+def first_difference(w: FreeWord, ceiling: int) -> tuple[int, tuple[int, ...], Coeff] | None:
+    """The lowest nonzero degree of M(w) - 1 and its DegLex-first term.
+
+    Raises the truncation one degree at a time, from 1 up to ``ceiling``,
+    and returns ``(degree, monomial, coefficient)`` for the DegLex-first
+    monomial of the first nonempty degree part of ``magnus_expand(w,
+    degree)``, or None if every degree up to ``ceiling`` is zero (at once
+    for the identity).
+
+    The climb never passes the syllable count s of w != 1, a proven bound,
+    not an observed one.  Write the reduced w as x_{i1}^{e1} ...
+    x_{is}^{es} with i_j != i_{j+1}.  Each syllable expands to
+    1 + e_j X_{ij} + (powers of X_{ij} of degree >= 2), so each term of
+    M(w) is a product of blocks X_{ij}^{k_j}, one per syllable, with
+    k_j >= 0.  The monomial X_{i1} ... X_{is} has no two equal letters
+    side by side, so a product equal to it has every k_j <= 1, and with
+    total degree s every k_j = 1.  Its coefficient is therefore
+    e1 * ... * es != 0: M(w) - 1 is nonzero in some degree <= s, so the
+    loop returns by degree min(ceiling, s), and a ceiling of at least s
+    never returns None for w != 1.  The syllables are not counted: the
+    loop never reaches the count, so counting would only add work.
+    """
+    if w.is_identity:
+        return None
+    for degree in range(1, ceiling + 1):
+        part = magnus_expand(w, degree).degree_part(degree)
+        if part:
+            key = min(part)  # one degree, so lex order is DegLex order
+            return degree, key, part[key]
+    return None
+
+
 def lcs_depth(w: FreeWord, ceiling: int | None = None) -> int | None:
     """Largest k with w in the k-th lower-central-series subgroup.
 
     Equivalently the minimal degree with a nonzero coefficient in
-    magnus_expand(w) - 1.  Searches up to ``ceiling`` (default: the word
-    length) and returns None if no nonzero coefficient shows up by then.
+    magnus_expand(w) - 1, read off ``first_difference``, so the search
+    stops at that degree and never passes the syllable count of w.
+    Searches up to ``ceiling`` (default: the word length) and returns None
+    exactly when the depth exceeds it.
     """
     if w.is_identity:
         raise ValueError("lcs_depth is undefined for the identity")
@@ -196,7 +228,8 @@ def lcs_depth(w: FreeWord, ceiling: int | None = None) -> int | None:
         ceiling = len(w)
     if ceiling < 1:
         raise ValueError(f"ceiling must be >= 1, got {ceiling}")
-    return magnus_expand(w, ceiling).lowest_degree()
+    found = first_difference(w, ceiling)
+    return None if found is None else found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +244,9 @@ def magnus_witness(
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     if a.letters == b.letters:  # free reduction is the exact equality test
         return Verdict.EQUAL, None, 0, 0
+    # The expansions first differ in degree depth(a^-1 b), which is at most
+    # the syllable count of a^-1 b, hence at most |a| + |b|, by the lemma in
+    # first_difference.
     ceiling = len(a) + len(b)
     for trunc in range(1, ceiling + 1):
         verdict, key, ca, cb = series_compare_witness(
@@ -218,9 +254,9 @@ def magnus_witness(
         )
         if verdict is not Verdict.EQUAL:
             return verdict, key, ca, cb
-    raise EscalationCeilingError(
-        f"escalation ceiling reached: expansions of {format_word(a)!r} and "
-        f"{format_word(b)!r} agree through degree {ceiling}"
+    raise AssertionError(
+        f"expansions of {format_word(a)!r} and {format_word(b)!r} agree through "
+        f"degree {ceiling}, past the syllable bound of first_difference"
     )
 
 
@@ -229,9 +265,9 @@ def magnus_compare(a: FreeWord, b: FreeWord) -> Verdict:
 
     Distinct words are separated by free reduction first; the ordering
     verdict comes from the first DegLex monomial where the expansions
-    differ, escalating the truncation N = 1, 2, ... as needed (never past
-    |a| + |b|, which the test suite validates as unreachable for reduced
-    words in the supported regime).
+    differ, escalating the truncation N = 1, 2, ... as needed.  The
+    escalation stops by the syllable count of a^-1 b, at most |a| + |b|,
+    the proven bound of ``first_difference``.
     """
     verdict, _, _, _ = magnus_witness(a, b)
     return verdict

@@ -6,7 +6,7 @@ Two ways of ordering a group built from ordered pieces:
   the base, and on a tie compare the fiber difference against the identity.
 - ``iterated_extension_compare``: the same rule applied along the whole
   lower-central tower of a free group at once, reading each layer off the
-  Magnus expansion degree by degree.
+  Magnus expansion of a^-1 b degree by degree (``first_difference``).
 
 ``axiom_harness`` samples an ordering oracle for totality, antisymmetry,
 transitivity, and two-sided invariance, and reports violations as data
@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .freegroup import FreeWord, magnus_expand
-from .series import Verdict, deglex_key
+from .freegroup import FreeWord, first_difference
+from .series import Verdict
 
 
 class FiberError(ValueError):
@@ -83,11 +83,13 @@ def extension_compare(
 def iterated_extension_compare(a: FreeWord, b: FreeWord, max_class: int) -> Verdict:
     """Order F_n through the tower of nilpotent quotients.
 
-    For k = 1, 2, ..., max_class: once the expansions of a and b agree
-    strictly below degree k, the degree-k coefficient vector of
-    magnus_expand(a^-1 b), scanned in DegLex order, is compared against
-    zero; its first nonzero entry decides (positive means a < b).  Raises
-    UndecidedAtClass for distinct words that every tested class misses.
+    a and b agree in the class-(k-1) quotient exactly when M(a^-1 b) - 1
+    vanishes below degree k; at the first class k where it does not, the
+    DegLex-first nonzero degree-k coefficient decides (positive means
+    a < b).  ``first_difference`` climbs k = 1, 2, ... on a^-1 b with
+    ``max_class`` as its ceiling.  Raises UndecidedAtClass for distinct
+    words that every tested class misses, i.e. when the depth of a^-1 b
+    exceeds ``max_class``.
     """
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
@@ -95,17 +97,10 @@ def iterated_extension_compare(a: FreeWord, b: FreeWord, max_class: int) -> Verd
         raise ValueError(f"max_class must be >= 1, got {max_class}")
     if a.letters == b.letters:
         return Verdict.EQUAL
-    diff = a.inverse() * b
-    for k in range(1, max_class + 1):
-        expansion = magnus_expand(diff, k)
-        if expansion.lowest_degree() is None:
-            continue  # still trivial through degree k: classes agree so far
-        part = expansion.degree_part(k)
-        if not part:
-            continue
-        first = min(part, key=deglex_key)
-        return Verdict.LESS if part[first] > 0 else Verdict.GREATER
-    raise UndecidedAtClass(max_class)
+    found = first_difference(a.inverse() * b, max_class)
+    if found is None:
+        raise UndecidedAtClass(max_class)
+    return Verdict.LESS if found[2] > 0 else Verdict.GREATER
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from biorder.cli import main
 from biorder.series import from_json_obj
@@ -220,3 +224,22 @@ def test_rank_inference(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["series"]["rank"] == 3
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    # stdout is a pipe nobody reads from, as after `biorder ... | head` exits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "biorder.cli", "expand", "x1 x2", "--degree", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

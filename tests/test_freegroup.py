@@ -1,15 +1,19 @@
 """Tests for free-group words, Magnus expansions, and the Magnus ordering."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biorder.freegroup import (
     FreeWord,
     WordSyntaxError,
     all_reduced_words,
     commutator,
+    first_difference,
     format_word,
     is_positive,
     lcs_depth,
@@ -20,7 +24,7 @@ from biorder.freegroup import (
     random_reduced_word,
     reduce_letters,
 )
-from biorder.series import Verdict
+from biorder.series import Verdict, deglex_key
 
 # ---------------------------------------------------------------------------
 # Brute-force Magnus oracle: dense series product letter by letter, written
@@ -150,14 +154,68 @@ def test_lcs_depth_identity_rejected():
         lcs_depth(FreeWord.identity(2))
 
 
+def syllable_exponents(w):
+    """[(i1, e1), ..., (is, es)] for the reduced w = x_{i1}^{e1} ... x_{is}^{es}."""
+    return [
+        (index, sum(1 if l > 0 else -1 for l in run))
+        for index, run in itertools.groupby(w.letters, key=abs)
+    ]
+
+
 def test_lcs_depth_at_most_length_exhaustive_rank2():
-    # ceiling assumption behind the comparison escalation: expansions of
-    # nontrivial reduced words show a nonzero term by degree = word length
+    # the proven ceiling of first_difference: a nontrivial reduced word
+    # shows a nonzero term by degree = its syllable count <= its length
     for w in all_reduced_words(2, 6):
         if w.is_identity:
             continue
         depth = lcs_depth(w, ceiling=len(w))
-        assert depth is not None and depth <= len(w)
+        assert depth is not None and depth <= len(syllable_exponents(w))
+
+
+@st.composite
+def reduced_words(draw, max_letters: int = 10) -> FreeWord:
+    rank = draw(st.integers(1, 3))
+    signed = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
+    letters = draw(st.lists(st.sampled_from(signed), max_size=max_letters))
+    return FreeWord.from_letters(rank, letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_words())
+def test_lcs_depth_matches_full_expansion_at_every_ceiling(w):
+    if w.is_identity:
+        assert first_difference(w, 5) is None
+        return
+    full = magnus_expand(w, len(w))  # the expansion to full length, no escalation
+    depth = full.lowest_degree()
+    part = full.degree_part(depth)
+    key = min(part, key=deglex_key)
+    for ceiling in range(1, len(w) + 1):
+        expected = depth if depth <= ceiling else None
+        assert lcs_depth(w, ceiling) == expected
+        found = first_difference(w, ceiling)
+        assert found == (None if expected is None else (depth, key, part[key]))
+    assert lcs_depth(w) == depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_words())
+def test_syllable_monomial_coefficient_is_product_of_exponents(w):
+    syllables = syllable_exponents(w)
+    key = tuple(index for index, _ in syllables)
+    product = math.prod(exponent for _, exponent in syllables)
+    assert product != 0
+    assert magnus_expand(w, len(key)).coefficient(key) == product
+
+
+def test_lcs_depth_on_long_commutators():
+    x1 = FreeWord.generator(2, 1)
+    x2 = FreeWord.generator(2, 2)
+    c3 = commutator(commutator(commutator(x1, x2), x2), x2)
+    c4 = commutator(c3, x2)
+    assert len(c4) == 38
+    assert lcs_depth(c3) == 4
+    assert lcs_depth(c4) == 5
 
 
 def test_lcs_depth_subadditivity_on_commutators():

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biorder.freegroup import (
     FreeWord,
@@ -11,6 +12,7 @@ from biorder.freegroup import (
     commutator,
     lcs_depth,
     magnus_compare,
+    magnus_expand,
     random_reduced_word,
 )
 from biorder.ordtools import (
@@ -24,7 +26,7 @@ from biorder.ordtools import (
     magnus_order_oracle,
     word_length_oracle,
 )
-from biorder.series import Verdict
+from biorder.series import Verdict, deglex_key
 
 # ---------------------------------------------------------------------------
 # extension_compare on a concrete short exact sequence:
@@ -160,6 +162,45 @@ def test_iterated_extension_agrees_with_magnus_short_words():
             if a.letters == b.letters:
                 continue
             assert iterated_extension_compare(a, b, 10) is magnus_compare(a, b)
+
+
+def class_by_class_compare(a: FreeWord, b: FreeWord, max_class: int) -> Verdict:
+    """The class ladder as first written: expand a^-1 b at every class in turn."""
+    if a.letters == b.letters:
+        return Verdict.EQUAL
+    diff = a.inverse() * b
+    for k in range(1, max_class + 1):
+        expansion = magnus_expand(diff, k)
+        if expansion.lowest_degree() is None:
+            continue
+        part = expansion.degree_part(k)
+        if not part:
+            continue
+        first = min(part, key=deglex_key)
+        return Verdict.LESS if part[first] > 0 else Verdict.GREATER
+    raise UndecidedAtClass(max_class)
+
+
+@st.composite
+def word_pairs_and_class(draw) -> tuple[FreeWord, FreeWord, int]:
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    a = FreeWord.from_letters(rank, draw(st.lists(letters, max_size=7)))
+    b = a * FreeWord.from_letters(rank, draw(st.lists(letters, max_size=7)))
+    return a, b, draw(st.integers(1, max(1, len(a) + len(b))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs_and_class())
+def test_iterated_extension_matches_class_by_class_loop(case):
+    a, b, max_class = case
+    try:
+        expected = class_by_class_compare(a, b, max_class)
+    except UndecidedAtClass:
+        with pytest.raises(UndecidedAtClass):
+            iterated_extension_compare(a, b, max_class)
+    else:
+        assert iterated_extension_compare(a, b, max_class) is expected
 
 
 def test_iterated_extension_input_validation():
