@@ -3,11 +3,11 @@
 The package has five working layers:
 
 - ``series``: exact truncated non-commutative power series and the DegLex
-  comparison that all orderings ultimately scan.
+  scan that the Magnus ordering runs on them.
 - ``freegroup``: free-group words, the Magnus expansion, the Magnus
   ordering, and lower-central-series depth.
-- ``ordtools``: generic order combinators (group extensions, iterated
-  extensions) and a property-testing harness for ordering axioms.
+- ``ordtools``: the nilpotent-class ladder (iterated extensions along the
+  lower central series) and a property-testing harness for ordering axioms.
 - ``braid``: pure braid words, the Artin action, combing coordinates, the
   resulting bi-invariant ordering, and finite-type invariants.
 - ``chen``: a numerical iterated-integral model whose holonomy comparison
@@ -23,6 +23,7 @@ from .braid import (
     artin_automorphism,
     braid_compare,
     braid_equal,
+    braid_witness,
     comb,
     fiber_coordinates,
     format_braid,
@@ -47,22 +48,8 @@ from .freegroup import (
     magnus_witness,
     parse_word,
 )
-from .ordtools import (
-    GroupOrderOracle,
-    axiom_harness,
-    extension_compare,
-    iterated_extension_compare,
-)
-from .series import (
-    Monomial,
-    TruncSeries,
-    Verdict,
-    deglex_compare,
-    exp,
-    inverse,
-    log,
-    series_compare,
-)
+from .ordtools import GroupOrderOracle, axiom_harness, iterated_extension_compare
+from .series import Monomial, TruncSeries, Verdict
 
 __all__ = [
     "CombedBraid",
@@ -79,28 +66,23 @@ __all__ = [
     "axiom_harness",
     "braid_compare",
     "braid_equal",
+    "braid_witness",
     "comb",
-    "deglex_compare",
-    "exp",
-    "extension_compare",
     "fiber_coordinates",
     "format_braid",
     "format_word",
     "ft_invariant",
     "holonomy_compare",
     "holonomy_series",
-    "inverse",
     "iterated_extension_compare",
     "iterated_integral",
     "lcs_depth",
-    "log",
     "magnus_compare",
     "magnus_expand",
     "magnus_witness",
     "parse_braid",
     "parse_singular_braid",
     "parse_word",
-    "series_compare",
     "singular_alternating_sum",
 ]
 

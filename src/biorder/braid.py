@@ -14,7 +14,7 @@ in proportion to the size of the factors, not to that of Artin images,
 which grow exponentially in braid length.
 
 The Artin action on F_n = <x_1..x_n> is faithful and stays the independent
-oracle: the table is read off it, ``conjugation_relators`` checks every
+oracle: the table is read off it, ``conjugation_relator`` checks each
 relator through it, and the tests check combing against it.  Conventions
 (all exercised by a calibration self-test rather than trusted):
 
@@ -36,16 +36,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .freegroup import (
-    FreeWord,
-    magnus_compare,
-    magnus_expand,
-    magnus_witness,
-    reduce_letters,
-)
+from .freegroup import FreeWord, magnus_expand, magnus_witness, reduce_letters
 from .series import Coeff, Monomial, Verdict
-
-DEFAULT_FT_TRUNC = 4  # truncation used by finite-type invariant evaluation
 
 _Images = tuple[tuple[int, ...], ...]
 
@@ -199,22 +191,7 @@ def is_trivial(w: PureBraidWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The fibration P_n -> P_{n-1}: forgetting, sections, fiber coordinates.
-
-
-def forget_strand(w: PureBraidWord) -> PureBraidWord:
-    """Delete strand n: A_ij survives for j < n, A_in dies."""
-    if w.strands < 3:
-        raise ValueError("forgetting a strand needs n >= 3 (the base of P_2 is trivial)")
-    kept = tuple((i, j, s) for (i, j, s) in w.letters if j < w.strands)
-    return PureBraidWord(w.strands - 1, kept)
-
-
-def strand_inclusion(w: PureBraidWord, strands: int) -> PureBraidWord:
-    """The section P_{n-1} -> P_n: the same letters on more strands."""
-    if strands < w.strands:
-        raise ValueError(f"cannot include {w.strands} strands into {strands}")
-    return PureBraidWord(strands, w.letters)
+# The fibration P_n -> P_{n-1}: fiber coordinates.
 
 
 def _extract_fiber_word(w: PureBraidWord) -> FreeWord:
@@ -256,9 +233,9 @@ def fiber_coordinates(w: PureBraidWord) -> FreeWord:
     """Coordinates of a kernel element in the free fiber of P_n -> P_{n-1}.
 
     The fiber is free on y_1..y_{n-1} with y_i corresponding to A_in, and
-    the coordinates are the top combed factor.  Requires forget_strand(w)
-    to be trivial, that is every lower combed factor to be empty; raises
-    FiberExtractionError otherwise.
+    the coordinates are the top combed factor.  Requires w to lie in the
+    kernel of forgetting strand n, that is every lower combed factor to be
+    empty; raises FiberExtractionError otherwise.
     """
     factors = comb(w).factors
     if any(f.letters for f in factors[:-1]):
@@ -346,26 +323,17 @@ def comb(w: PureBraidWord) -> CombedBraid:
 # The bi-invariant ordering and finite-type invariants.
 
 
-def braid_compare(a: PureBraidWord, b: PureBraidWord) -> Verdict:
+def braid_witness(
+    a: PureBraidWord, b: PureBraidWord
+) -> tuple[Verdict, int | None, tuple[int, ...] | None, Coeff, Coeff]:
     """Bi-invariant total order on P_n: base level first, then the fiber.
 
     Combings are compared factor by factor (level 1 outward); the first
     level whose free-group factors differ decides via the Magnus ordering
-    of that fiber.  Equality means equality in the group.
+    of that fiber.  Equality means equality in the group.  Returns
+    (verdict, level, monomial, both coefficients); the level and monomial
+    are None for equal braids.
     """
-    if a.strands != b.strands:
-        raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
-    ca, cb = comb(a), comb(b)
-    for fa, fb in zip(ca.factors, cb.factors):
-        if fa.letters != fb.letters:
-            return magnus_compare(fa, fb)
-    return Verdict.EQUAL
-
-
-def braid_witness(
-    a: PureBraidWord, b: PureBraidWord
-) -> tuple[Verdict, int | None, tuple[int, ...] | None, Coeff, Coeff]:
-    """Like braid_compare, also reporting (level, monomial, both coefficients)."""
     if a.strands != b.strands:
         raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
     ca, cb = comb(a), comb(b)
@@ -376,12 +344,13 @@ def braid_witness(
     return Verdict.EQUAL, None, None, 0, 0
 
 
+def braid_compare(a: PureBraidWord, b: PureBraidWord) -> Verdict:
+    """The verdict of ``braid_witness``."""
+    return braid_witness(a, b)[0]
+
+
 def ft_invariant(
-    factor: int,
-    monomial: Monomial | tuple[int, ...],
-    braid: PureBraidWord,
-    *,
-    trunc: int = DEFAULT_FT_TRUNC,
+    factor: int, monomial: Monomial | tuple[int, ...], braid: PureBraidWord
 ) -> Coeff:
     """Coefficient of a monomial in the expansion of one combing factor.
 
@@ -399,10 +368,6 @@ def ft_invariant(
         raise ValueError(f"monomial rank {monomial.rank} != factor rank {factor}")
     if any(not 1 <= i <= factor for i in indices):
         raise ValueError(f"monomial {indices} out of range for rank {factor}")
-    if len(indices) > trunc:
-        raise ValueError(
-            f"monomial degree {len(indices)} exceeds truncation {trunc}"
-        )
     fiber_word = comb(braid).factors[factor - 1]
     return magnus_expand(fiber_word, len(indices)).coefficient(indices)
 
@@ -466,35 +431,45 @@ def all_generators(strands: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(2, strands + 1) for i in range(1, j)]
 
 
-@functools.lru_cache(maxsize=None)
-def conjugation_relators(strands: int) -> tuple[PureBraidWord, ...]:
-    """Relator words of P_n, one per ordered pair of distinct generators.
+def relator_count(strands: int) -> int:
+    """2 m (m - 1) for the m = n(n-1)/2 generators: one relator per ordered
+    pair of distinct generators and per sign of the conjugating one."""
+    m = strands * (strands - 1) // 2
+    return 2 * m * (m - 1)
 
-    Each relator is g^e h g^-e * (combing normal word of g^e h g^-e)^-1:
+
+def conjugation_relator(strands: int, index: int) -> PureBraidWord:
+    """Relator ``index`` of ``conjugation_relators(strands)``, built alone.
+
+    The relator is g^e h g^-e * (combing normal word of g^e h g^-e)^-1,
     trivial in the group by construction and verified trivial through the
     Artin action, not through combing, so no transcription from a published
     presentation can drift out of sync with the conventions used here, and
     a wrong entry of the conjugation table fails here.
     """
-    relators: list[PureBraidWord] = []
-    for gi in all_generators(strands):
-        for hj in all_generators(strands):
-            if gi == hj:
-                continue
-            for e in (1, -1):
-                g = PureBraidWord.generator(strands, *gi, e)
-                h = PureBraidWord.generator(strands, *hj)
-                conjugate = g * h * g.inverse()
-                normal = comb(conjugate).to_word()
-                relator = conjugate * normal.inverse()
-                if not relator.letters:
-                    continue
-                if _artin_images(strands, relator.letters) != _identity_images(strands):
-                    raise CalibrationError(
-                        f"generated relator is not trivial: {format_braid(relator)}"
-                    )
-                relators.append(relator)
-    return tuple(relators)
+    if not 0 <= index < relator_count(strands):
+        raise ValueError(f"relator index {index} out of range for {strands} strands")
+    gens = all_generators(strands)
+    pair, sign = divmod(index, 2)
+    gi, hj = divmod(pair, len(gens) - 1)
+    g = PureBraidWord.generator(strands, *gens[gi], -1 if sign else 1)
+    h = PureBraidWord.generator(strands, *gens[hj + (hj >= gi)])
+    conjugate = g * h * g.inverse()
+    relator = conjugate * comb(conjugate).to_word().inverse()
+    if _artin_images(strands, relator.letters) != _identity_images(strands):
+        raise CalibrationError(
+            f"generated relator is not trivial: {format_braid(relator)}"
+        )
+    return relator
+
+
+@functools.lru_cache(maxsize=None)
+def conjugation_relators(strands: int) -> tuple[PureBraidWord, ...]:
+    """Every relator of ``conjugation_relator``, ordered by the generator
+    g, then h != g, then the sign e = +1, -1."""
+    return tuple(
+        conjugation_relator(strands, k) for k in range(relator_count(strands))
+    )
 
 
 def insert_relator(
@@ -584,14 +559,3 @@ def format_braid(w: PureBraidWord) -> str:
     return " ".join(
         _label(i, j) if s > 0 else f"{_label(i, j)}^-1" for (i, j, s) in w.letters
     )
-
-
-def format_singular_braid(s: SingularBraid) -> str:
-    if not s.word.letters:
-        return "1"
-    marked = set(s.marked)
-    parts = []
-    for pos, (i, j, sign) in enumerate(s.word.letters):
-        star = "*" if pos in marked else ""
-        parts.append(star + _label(i, j) + ("" if sign > 0 else "^-1"))
-    return " ".join(parts)

@@ -73,19 +73,6 @@ class LoopModel:
     def from_word(cls, w: FreeWord) -> LoopModel:
         return cls(w.rank, w.letters)
 
-    @classmethod
-    def constant(cls, rank: int) -> LoopModel:
-        return cls(rank, ())
-
-    def concat(self, other: LoopModel) -> LoopModel:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return LoopModel(self.rank, self.segments + other.segments)
-
-    def reverse(self) -> LoopModel:
-        """The same loop traversed backwards."""
-        return LoopModel(self.rank, tuple(-l for l in reversed(self.segments)))
-
     def __len__(self) -> int:
         return len(self.segments)
 
@@ -258,29 +245,6 @@ class HolonomySeries:
 
     def coefficient(self, indices: tuple[int, ...]) -> float:
         return self.values.get(tuple(indices), 0.0)
-
-    def error(self, indices: tuple[int, ...]) -> float:
-        return self.errors.get(tuple(indices), 0.0)
-
-    def __mul__(self, other: HolonomySeries) -> HolonomySeries:
-        """Truncated product with first-order error propagation."""
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        trunc = min(self.trunc, other.trunc)
-        values: dict[tuple[int, ...], float] = {}
-        errors: dict[tuple[int, ...], float] = {}
-        for key_a, va in self.values.items():
-            ea = self.errors.get(key_a, 0.0)
-            for key_b, vb in other.values.items():
-                if len(key_a) + len(key_b) > trunc:
-                    continue
-                eb = other.errors.get(key_b, 0.0)
-                key = key_a + key_b
-                values[key] = values.get(key, 0.0) + va * vb
-                errors[key] = (
-                    errors.get(key, 0.0) + abs(va) * eb + ea * abs(vb) + ea * eb
-                )
-        return HolonomySeries(self.rank, trunc, values, errors)
 
 
 def _check_trunc(trunc: int, allow_deep: bool) -> None:

@@ -22,17 +22,17 @@ from typing import Sequence
 
 from .braid import (
     BraidSyntaxError,
-    PureBraidWord,
     braid_compare,
     braid_witness,
     comb,
-    conjugation_relators,
+    conjugation_relator,
     format_braid,
     ft_invariant,
     insert_relator,
     parse_braid,
     parse_singular_braid,
     random_pure_braid,
+    relator_count,
     singular_alternating_sum,
 )
 from .chen import (
@@ -145,7 +145,8 @@ def _cmd_compare(args) -> int:
         a = parse_braid(args.left, args.strands)
         b = parse_braid(args.right, args.strands)
         if a.strands != b.strands:
-            b = parse_braid(args.right, a.strands)
+            strands = max(a.strands, b.strands)
+            a, b = parse_braid(args.left, strands), parse_braid(args.right, strands)
         verdict, level, key, ca, cb = braid_witness(a, b)
         symbol = _VERDICT_SYMBOL[verdict]
         lines = [f"{format_braid(a)} {symbol} {format_braid(b)}"]
@@ -269,12 +270,16 @@ def _cmd_invariants(args) -> int:
     braid = parse_braid(args.braid, args.strands)
     degree = args.degree if args.degree is not None else _default_degree()
     factor = args.factor
+    if not 1 <= factor <= braid.strands - 1:
+        raise _UsageError(f"factor must be in 1..{braid.strands - 1}, got {factor}")
+    if degree < 0:
+        raise _UsageError(f"degree must be >= 0, got {degree}")
     import itertools
 
     rows = []
     for d in range(1, degree + 1):
         for key in itertools.product(range(1, factor + 1), repeat=d):
-            rows.append((key, ft_invariant(factor, key, braid, trunc=degree)))
+            rows.append((key, ft_invariant(factor, key, braid)))
     lines = [
         f"braid: {format_braid(braid)} on {braid.strands} strands",
         f"factor {factor} invariants through degree {degree}:",
@@ -301,10 +306,7 @@ def _cmd_singular_sum(args) -> int:
         key = tuple(int(part) for part in args.monomial.split(",") if part)
     except ValueError:
         raise _UsageError(f"bad monomial {args.monomial!r}: want e.g. 1,2,1")
-    degree = max(len(key), _FALLBACK_DEGREE)
-    total = singular_alternating_sum(
-        singular, lambda w: ft_invariant(args.factor, key, w, trunc=degree)
-    )
+    total = singular_alternating_sum(singular, lambda w: ft_invariant(args.factor, key, w))
     marks = len(singular.marked)
     lines = [
         f"singular braid: {args.braid.strip()} ({marks} marked)",
@@ -367,6 +369,8 @@ def _report_obj(report: HarnessReport) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.strands < 2:
+        raise _UsageError(f"strands must be >= 2, got {args.strands}")
     rng = random.Random(args.seed)
     reports: list[HarnessReport] = []
 
@@ -381,8 +385,6 @@ def _cmd_verify(args) -> int:
         name=f"braid-order-strands{args.strands}",
         compare=braid_compare,
         multiply=lambda a, b: a * b,
-        invert=lambda a: a.inverse(),
-        identity=PureBraidWord.identity(args.strands),
         describe=format_braid,
     )
     braid_triples = [
@@ -395,12 +397,12 @@ def _cmd_verify(args) -> int:
     reports.append(axiom_harness(braid_oracle, braid_triples))
 
     relator_failures = []
-    relators = conjugation_relators(args.strands)
-    relator_samples = max(args.samples // 10, 5)
+    count = relator_count(args.strands)  # 0 on 2 strands: P_2 is cyclic
+    relator_samples = max(args.samples // 10, 5) if count else 0
     for _ in range(relator_samples):
         a = random_pure_braid(rng, args.strands, rng.randrange(0, 5))
         b = random_pure_braid(rng, args.strands, rng.randrange(0, 5))
-        rel = rng.choice(relators)
+        rel = conjugation_relator(args.strands, rng.randrange(count))
         pos = rng.randrange(0, len(a.letters) + 1)
         before = braid_compare(a, b)
         after = braid_compare(insert_relator(a, rel, pos), b)

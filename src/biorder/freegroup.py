@@ -21,7 +21,7 @@ import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .series import Coeff, TruncSeries, Verdict, series_compare_witness
 
@@ -101,20 +101,8 @@ class FreeWord:
             out = out * base
         return out
 
-    def conjugated_by(self, g: FreeWord) -> FreeWord:
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def __str__(self) -> str:
         return format_word(self)
-
-
-def concat(a: FreeWord, b: FreeWord) -> FreeWord:
-    return a * b
-
-
-def invert(a: FreeWord) -> FreeWord:
-    return a.inverse()
 
 
 def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
@@ -273,11 +261,6 @@ def magnus_compare(a: FreeWord, b: FreeWord) -> Verdict:
     return verdict
 
 
-def is_positive(w: FreeWord) -> bool:
-    """True when the identity precedes w in the Magnus ordering."""
-    return magnus_compare(FreeWord.identity(w.rank), w) is Verdict.LESS
-
-
 # ---------------------------------------------------------------------------
 # Word grammar: "x1 x2^-1" tokens, or compact alias letters a..z / A..Z.
 
@@ -339,7 +322,7 @@ def format_word(w: FreeWord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and enumeration.
+# Sampling.
 
 
 def random_reduced_word(rng: random.Random, rank: int, length: int) -> FreeWord:
@@ -357,20 +340,3 @@ def random_reduced_word(rng: random.Random, rank: int, length: int) -> FreeWord:
         else:
             stack.append(letter)
     return FreeWord(rank, tuple(stack))
-
-
-def all_reduced_words(rank: int, max_length: int) -> Iterator[FreeWord]:
-    """All freely reduced words of length <= max_length, shortest first."""
-    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]
-    frontier: list[tuple[int, ...]] = [()]
-    yield FreeWord.identity(rank)
-    for _ in range(max_length):
-        nxt: list[tuple[int, ...]] = []
-        for word in frontier:
-            for letter in alphabet:
-                if word and word[-1] == -letter:
-                    continue
-                grown = word + (letter,)
-                nxt.append(grown)
-                yield FreeWord(rank, grown)
-        frontier = nxt

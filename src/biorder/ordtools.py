@@ -1,12 +1,9 @@
-"""Order combinators for group extensions, plus an axiom-testing harness.
+"""The nilpotent-class ladder and an axiom-testing harness for orders.
 
-Two ways of ordering a group built from ordered pieces:
-
-- ``extension_compare``: the short-exact-sequence rule — compare images in
-  the base, and on a tie compare the fiber difference against the identity.
-- ``iterated_extension_compare``: the same rule applied along the whole
-  lower-central tower of a free group at once, reading each layer off the
-  Magnus expansion of a^-1 b degree by degree (``first_difference``).
+``iterated_extension_compare`` orders a free group through the tower of its
+nilpotent quotients: at each class it compares images in the quotient and,
+on a tie, passes to the next layer, reading each layer off the Magnus
+expansion of a^-1 b degree by degree (``first_difference``).
 
 ``axiom_harness`` samples an ordering oracle for totality, antisymmetry,
 transitivity, and two-sided invariance, and reports violations as data
@@ -15,16 +12,11 @@ rather than raising, so deliberately broken oracles can be inspected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .freegroup import FreeWord, first_difference
+from .freegroup import FreeWord, first_difference, format_word, magnus_compare
 from .series import Verdict
-
-
-class FiberError(ValueError):
-    """An element landed outside the fiber; the projection/section pair is broken."""
 
 
 class UndecidedAtClass(Exception):
@@ -41,43 +33,14 @@ class UndecidedAtClass(Exception):
 class GroupOrderOracle:
     """A group with a candidate left-invariant (or bi-invariant) order.
 
-    ``compare`` returns a Verdict; ``multiply``/``invert``/``identity``
-    supply just enough group structure for the harness to phrase the
-    invariance axioms.
+    ``compare`` returns a Verdict; ``multiply`` is the group structure the
+    harness needs to phrase the invariance axioms.
     """
 
     name: str
     compare: Callable[[Any, Any], Verdict]
     multiply: Callable[[Any, Any], Any]
-    invert: Callable[[Any], Any]
-    identity: Any
     describe: Callable[[Any], str] = str  # how witnesses are rendered in reports
-
-
-def extension_compare(
-    g: Any,
-    h: Any,
-    *,
-    project: Callable[[Any], Any],
-    compare_base: Callable[[Any, Any], Verdict],
-    fiber_difference: Callable[[Any, Any], Any],
-    fiber_identity: Any,
-    compare_fiber: Callable[[Any, Any], Verdict],
-) -> Verdict:
-    """Order a group from an ordered base and an ordered fiber.
-
-    g < h when project(g) < project(h) in the base; on a base tie the
-    difference g^-1 h lies in the fiber (``fiber_difference`` must map it
-    there, raising FiberError otherwise) and the verdict is that of
-    identity vs g^-1 h under the fiber order.  The result is a genuine
-    bi-invariant order whenever the base and fiber orders are bi-invariant
-    and the fiber order is preserved by conjugation by the whole group;
-    the harness can spot-check that premise but not prove it.
-    """
-    base = compare_base(project(g), project(h))
-    if base is not Verdict.EQUAL:
-        return base
-    return compare_fiber(fiber_identity, fiber_difference(g, h))
 
 
 def iterated_extension_compare(a: FreeWord, b: FreeWord, max_class: int) -> Verdict:
@@ -135,58 +98,13 @@ class HarnessReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_json_lines(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "oracle": self.oracle,
-                    "samples": self.samples,
-                    "violations": len(self.violations),
-                    "passed": self.passed,
-                },
-                sort_keys=True,
-            )
-        ]
-        for violation in self.violations:
-            lines.append(json.dumps(violation.to_json_obj(), sort_keys=True))
-        return "\n".join(lines)
-
 
 def magnus_order_oracle(rank: int) -> GroupOrderOracle:
     """The Magnus ordering of F_rank packaged for the harness."""
-    from .freegroup import format_word, magnus_compare
-
     return GroupOrderOracle(
         name=f"magnus/F{rank}",
         compare=magnus_compare,
         multiply=lambda a, b: a * b,
-        invert=lambda a: a.inverse(),
-        identity=FreeWord.identity(rank),
-        describe=format_word,
-    )
-
-
-def word_length_oracle(rank: int) -> GroupOrderOracle:
-    """Compare by reduced word length: deliberately NOT invariant.
-
-    Kept as a harness fixture; cancellation under translation produces
-    left- and right-invariance violations that the report should surface.
-    """
-    from .freegroup import format_word
-
-    def compare(a: FreeWord, b: FreeWord) -> Verdict:
-        if len(a) < len(b):
-            return Verdict.LESS
-        if len(a) > len(b):
-            return Verdict.GREATER
-        return Verdict.EQUAL
-
-    return GroupOrderOracle(
-        name=f"wordlen/F{rank}",
-        compare=compare,
-        multiply=lambda a, b: a * b,
-        invert=lambda a: a.inverse(),
-        identity=FreeWord.identity(rank),
         describe=format_word,
     )
 
@@ -255,39 +173,5 @@ def axiom_harness(
                 "right-invariance",
                 (a, b, c),
                 f"compare(a,b)={v_ab.value} but compare(ac,bc)={v_right.value}",
-            )
-    return report
-
-
-def conjugation_invariance_report(
-    oracle: GroupOrderOracle,
-    pairs_with_conjugators: Iterable[tuple[Any, Any, Any]],
-    *,
-    conjugate: Callable[[Any, Any], Any] | None = None,
-    max_violations: int = 25,
-) -> HarnessReport:
-    """Spot-check that the order survives conjugation h -> g h g^-1.
-
-    ``conjugate(g, h)`` defaults to multiplication inside the oracle's own
-    group; pass a callable when the conjugating elements live in a larger
-    group acting on this one (the extension-order premise).
-    """
-    if conjugate is None:
-
-        def conjugate(g: Any, h: Any) -> Any:
-            return oracle.multiply(oracle.multiply(g, h), oracle.invert(g))
-
-    report = HarnessReport(oracle=f"{oracle.name}/conjugation")
-    for a, b, g in pairs_with_conjugators:
-        report.samples += 1
-        v = oracle.compare(a, b)
-        v_conj = oracle.compare(conjugate(g, a), conjugate(g, b))
-        if v_conj is not v and len(report.violations) < max_violations:
-            report.violations.append(
-                Violation(
-                    "conjugation-invariance",
-                    (oracle.describe(a), oracle.describe(b), oracle.describe(g)),
-                    f"compare(a,b)={v.value} but compare(gag^-1,gbg^-1)={v_conj.value}",
-                )
             )
     return report

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Coeff = int | Fraction
 
@@ -61,34 +61,10 @@ class Monomial:
     def degree(self) -> int:
         return len(self.indices)
 
-    def deglex_key(self) -> tuple[int, tuple[int, ...]]:
-        return deglex_key(self.indices)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return Monomial(self.rank, self.indices + other.indices)
-
     def __str__(self) -> str:
         if not self.indices:
             return "1"
         return "".join(f"X{i}" for i in self.indices)
-
-
-def deglex_compare(a: Monomial, b: Monomial) -> Verdict:
-    """Compare two monomials of the same rank in DegLex order.
-
-    Lower degree is smaller; within equal degree the lexicographically
-    smaller index sequence gives the smaller monomial, e.g. X1X2 < X2X1.
-    """
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    ka, kb = a.deglex_key(), b.deglex_key()
-    if ka < kb:
-        return Verdict.LESS
-    if ka > kb:
-        return Verdict.GREATER
-    return Verdict.EQUAL
 
 
 def _validate_coeff(c: object) -> Coeff:
@@ -171,11 +147,6 @@ class TruncSeries:
             indices = indices.indices
         return self.terms.get(tuple(indices), 0)
 
-    def monomials(self) -> Iterator[Monomial]:
-        """Monomials with nonzero coefficient, in DegLex order."""
-        for key in sorted(self.terms, key=deglex_key):
-            yield Monomial(self.rank, key)
-
     def degree_part(self, d: int) -> dict[tuple[int, ...], Coeff]:
         """The degree-d slice as a plain dict (may be empty)."""
         return {k: v for k, v in self.terms.items() if len(k) == d}
@@ -184,14 +155,6 @@ class TruncSeries:
         """Smallest degree >= 1 carrying a nonzero term, or None."""
         degs = [len(k) for k in self.terms if k]
         return min(degs) if degs else None
-
-    def truncate(self, new_trunc: int) -> TruncSeries:
-        """Forget all terms of degree > new_trunc (new_trunc <= trunc)."""
-        if new_trunc > self.trunc:
-            raise ValueError(f"cannot extend truncation {self.trunc} to {new_trunc}")
-        return TruncSeries(
-            self.rank, new_trunc, {k: v for k, v in self.terms.items() if len(k) <= new_trunc}
-        )
 
     def _check_compatible(self, other: TruncSeries) -> None:
         if self.rank != other.rank:
@@ -272,48 +235,6 @@ class TruncSeries:
         return " ".join(parts)
 
 
-def inverse(s: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse of a series with constant term 1.
-
-    Computed as the truncated geometric series sum_k (1 - s)^k; both
-    s * inverse(s) and inverse(s) * s equal 1 up to the truncation.
-    """
-    if s.coefficient(()) != 1:
-        raise ValueError("inverse requires constant term exactly 1")
-    one = TruncSeries.unit(s.rank, s.trunc)
-    u = one - s  # lowest degree >= 1
-    result = one
-    for _ in range(s.trunc):
-        result = one + u * result
-    return result
-
-
-def exp(s: TruncSeries) -> TruncSeries:
-    """Truncated exponential of a series with zero constant term."""
-    if s.coefficient(()) != 0:
-        raise ValueError("exp requires zero constant term")
-    one = TruncSeries.unit(s.rank, s.trunc)
-    result = one
-    for k in range(s.trunc, 0, -1):
-        result = one + (s * result).scale(Fraction(1, k))
-    return result
-
-
-def log(s: TruncSeries) -> TruncSeries:
-    """Truncated logarithm of a series with constant term 1."""
-    if s.coefficient(()) != 1:
-        raise ValueError("log requires constant term exactly 1")
-    u = s - TruncSeries.unit(s.rank, s.trunc)
-    if s.trunc == 0:
-        return TruncSeries.zero(s.rank, s.trunc)
-    # log(1+u) = u * sum_{j>=0} (-1)^j u^j / (j+1), evaluated by Horner
-    unit = TruncSeries.unit(s.rank, s.trunc)
-    result = unit.scale(Fraction((-1) ** (s.trunc + 1), s.trunc))
-    for k in range(s.trunc - 1, 0, -1):
-        result = unit.scale(Fraction((-1) ** (k + 1), k)) + u * result
-    return u * result
-
-
 def series_compare_witness(
     a: TruncSeries, b: TruncSeries
 ) -> tuple[Verdict, tuple[int, ...] | None, Coeff, Coeff]:
@@ -332,21 +253,6 @@ def series_compare_witness(
     return Verdict.EQUAL, None, 0, 0
 
 
-def series_compare(a: TruncSeries, b: TruncSeries, *, exact: bool = True) -> Verdict | None:
-    """Compare two series in the DegLex-lexicographic order.
-
-    The first monomial (in DegLex order) whose coefficients differ decides.
-    If all coefficients agree through the truncation, the answer is Equal
-    only when the caller asserts the series are exact (``exact=True``);
-    for truncations of possibly-longer expansions the comparison is
-    undetermined and None is returned.
-    """
-    verdict, _, _, _ = series_compare_witness(a, b)
-    if verdict is not Verdict.EQUAL:
-        return verdict
-    return Verdict.EQUAL if exact else None
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -357,21 +263,3 @@ def to_json_obj(s: TruncSeries) -> dict:
         coeff = s.terms[key]
         rows.append([list(key), coeff.numerator, coeff.denominator])
     return {"rank": s.rank, "trunc": s.trunc, "terms": rows}
-
-
-def from_json_obj(obj: dict) -> TruncSeries:
-    """Inverse of to_json_obj; round-trips exactly."""
-    try:
-        rank = int(obj["rank"])
-        trunc = int(obj["trunc"])
-        rows = obj["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed series object: {exc}") from exc
-    terms: dict[tuple[int, ...], Coeff] = {}
-    for row in rows:
-        indices, num, den = row
-        coeff = Fraction(num, den)
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        terms[tuple(int(i) for i in indices)] = coeff
-    return TruncSeries(rank, trunc, terms)

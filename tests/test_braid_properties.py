@@ -22,10 +22,8 @@ from biorder.braid import (
     braid_equal,
     comb,
     conjugation_relators,
-    forget_strand,
     insert_relator,
     is_trivial,
-    strand_inclusion,
 )
 from biorder.freegroup import FreeWord
 
@@ -66,11 +64,16 @@ def _artin_fiber_word(u: PureBraidWord) -> FreeWord:
     return FreeWord.from_letters(n - 1, (l for l in image[:half] if abs(l) != n))
 
 
+def forget_strand(w: PureBraidWord) -> PureBraidWord:
+    """Delete strand n: A_ij survives for j < n, A_in dies."""
+    return PureBraidWord(w.strands - 1, tuple(l for l in w.letters if l[1] < w.strands))
+
+
 def artin_comb(w: PureBraidWord) -> tuple[FreeWord, ...]:
     if w.strands == 2:
         return (_artin_fiber_word(w),)
     base = forget_strand(w)
-    kernel_part = strand_inclusion(base, w.strands).inverse() * w
+    kernel_part = PureBraidWord(w.strands, base.letters).inverse() * w
     return artin_comb(base) + (_artin_fiber_word(kernel_part),)
 
 

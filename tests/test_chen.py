@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from biorder.chen import (
     DEFAULT_MARGIN,
     DEFAULT_NODE_COUNTS,
-    HolonomySeries,
     LoopModel,
     QuadratureError,
     bump_density,
@@ -21,7 +20,7 @@ from biorder.chen import (
     iterated_integral,
 )
 from biorder.freegroup import FreeWord, magnus_compare, random_reduced_word
-from biorder.series import TruncSeries, Verdict, deglex_key, exp
+from biorder.series import TruncSeries, Verdict, deglex_key
 
 # --- exact oracle: the same nested antiderivatives, done symbolically ------
 #
@@ -133,10 +132,21 @@ def full_scan_compare(a: FreeWord, b: FreeWord, trunc: int) -> Verdict | None:
         if not key:
             continue
         diff = sa.coefficient(key) - sb.coefficient(key)
-        noise = sa.error(key) + sb.error(key) + DEFAULT_MARGIN
+        noise = sa.errors[key] + sb.errors[key] + DEFAULT_MARGIN
         if abs(diff) > noise:
             return Verdict.LESS if diff < 0 else Verdict.GREATER
     return None
+
+
+def exp(s: TruncSeries) -> TruncSeries:
+    """Truncated exponential of a series with zero constant term."""
+    if s.coefficient(()) != 0:
+        raise ValueError("exp requires zero constant term")
+    one = TruncSeries.unit(s.rank, s.trunc)
+    result = one
+    for k in range(s.trunc, 0, -1):
+        result = one + (s * result).scale(Fraction(1, k))
+    return result
 
 
 def exact_holonomy(loop: LoopModel, trunc: int) -> TruncSeries:
@@ -146,6 +156,27 @@ def exact_holonomy(loop: LoopModel, trunc: int) -> TruncSeries:
         step = TruncSeries.generator(loop.rank, trunc, abs(letter))
         result = result * exp(step.scale(1 if letter > 0 else -1))
     return result
+
+
+def concat(a: LoopModel, b: LoopModel) -> LoopModel:
+    return LoopModel(a.rank, a.segments + b.segments)
+
+
+def reverse(loop: LoopModel) -> LoopModel:
+    """The same loop traversed backwards."""
+    return LoopModel(loop.rank, tuple(-l for l in reversed(loop.segments)))
+
+
+def product_coefficient(sa, sb, key: tuple[int, ...]) -> tuple[float, float]:
+    """The coefficient of ``key`` in the truncated product of two holonomies,
+    with first-order error propagation."""
+    value = error = 0.0
+    for cut in range(len(key) + 1):
+        va, ea = sa.values[key[:cut]], sa.errors[key[:cut]]
+        vb, eb = sb.values[key[cut:]], sb.errors[key[cut:]]
+        value += va * vb
+        error += abs(va) * eb + ea * abs(vb) + ea * eb
+    return value, error
 
 
 # --- tests -----------------------------------------------------------------
@@ -176,7 +207,7 @@ def test_matches_exact_oracle_on_random_loops():
 def test_empty_cases():
     loop = LoopModel(2, (1, 2))
     assert iterated_integral(loop, ()) == (1.0, 0.0)
-    assert iterated_integral(LoopModel.constant(2), (1,)) == (0.0, 0.0)
+    assert iterated_integral(LoopModel(2, ()), (1,)) == (0.0, 0.0)
 
 
 def test_generator_loop_holonomy_is_exponential():
@@ -194,11 +225,12 @@ def test_holonomy_multiplicative_under_concatenation():
     for _ in range(15):
         a = random_loop(rng, 2, rng.randrange(1, 5))
         b = random_loop(rng, 2, rng.randrange(1, 5))
-        sc = holonomy_series(a.concat(b), trunc=3)
-        sp = holonomy_series(a, trunc=3) * holonomy_series(b, trunc=3)
+        sc = holonomy_series(concat(a, b), trunc=3)
+        sa, sb = holonomy_series(a, trunc=3), holonomy_series(b, trunc=3)
         for key in all_keys(2, 3):
-            tolerance = sc.error(key) + sp.error(key) + 1e-10
-            assert abs(sc.coefficient(key) - sp.coefficient(key)) <= tolerance
+            value, error = product_coefficient(sa, sb, key)
+            tolerance = sc.errors[key] + error + 1e-10
+            assert abs(sc.values[key] - value) <= tolerance
 
 
 def test_shuffle_identity():
@@ -222,10 +254,10 @@ def test_reversed_loop_inverts_holonomy():
     rng = random.Random(34)
     for _ in range(10):
         loop = random_loop(rng, 2, rng.randrange(1, 5))
-        series = holonomy_series(loop.concat(loop.reverse()), trunc=3)
+        series = holonomy_series(concat(loop, reverse(loop)), trunc=3)
         for key in all_keys(2, 3):
             expected = 1.0 if not key else 0.0
-            assert abs(series.coefficient(key) - expected) <= series.error(key) + 1e-9
+            assert abs(series.values[key] - expected) <= series.errors[key] + 1e-9
 
 
 def test_backtracking_loop_has_trivial_holonomy():
@@ -289,19 +321,9 @@ def test_loop_model_validation():
         LoopModel(2, (3,))
     with pytest.raises(ValueError):
         LoopModel(2, (0,))
-    with pytest.raises(ValueError):
-        LoopModel(2, (1,)).concat(LoopModel(3, (1,)))
     loop = LoopModel.from_word(FreeWord(2, (1, 2, -1)))
-    assert loop.reverse().reverse() == loop
+    assert loop.segments == (1, 2, -1)
     assert len(loop) == 3
-    assert loop.reverse().segments == (1, -2, -1)
-
-
-def test_series_multiplication_validates_rank():
-    a = holonomy_series(LoopModel(2, (1,)), trunc=2)
-    b = holonomy_series(LoopModel(3, (1,)), trunc=2)
-    with pytest.raises(ValueError):
-        a * b
 
 
 def test_node_ladder_is_sane():

@@ -1,4 +1,5 @@
-"""Command-line interface: exit codes, JSON output, determinism."""
+"""Command-line interface: exit codes, JSON output, determinism; and the
+package's export list."""
 
 from __future__ import annotations
 
@@ -6,10 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import biorder
+from biorder import braid, cli
 from biorder.cli import main
-from biorder.series import from_json_obj
 from biorder.freegroup import magnus_compare, magnus_expand, parse_word
 
 
@@ -22,9 +25,10 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
 def test_expand_json_roundtrips_through_serialization(capsys):
     code, out, _ = run(capsys, "expand", "x1 x2^-1", "--degree", "3", "--json")
     assert code == 0
-    payload = json.loads(out)
-    series = from_json_obj(payload["series"])
-    assert series == magnus_expand(parse_word("x1 x2^-1", 2), 3)
+    obj = json.loads(out)["series"]
+    terms = {tuple(key): Fraction(num, den) for key, num, den in obj["terms"]}
+    series = magnus_expand(parse_word("x1 x2^-1", 2), 3)
+    assert (obj["rank"], obj["trunc"], terms) == (series.rank, series.trunc, series.terms)
 
 
 def test_expand_human_output_lists_monomials(capsys):
@@ -51,6 +55,15 @@ def test_compare_braids(capsys):
     assert code == 0
     assert "A13 < A12" in out
     assert "level 1" in out
+
+
+def test_compare_braids_parses_both_at_the_larger_strand_count(capsys):
+    code, out, err = run(capsys, "compare", "A12", "A14", "--braid", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "GREATER"
+    code, out, err = run(capsys, "compare", "A14", "A12", "--braid", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "LESS"
 
 
 def test_compare_classes_method_reports_undecidedness(capsys):
@@ -104,6 +117,17 @@ def test_invariants_output(capsys):
     assert payload["invariants"]["Y1"] == [1, 1]
     assert payload["invariants"]["Y1Y2"] == [1, 1]
     assert payload["invariants"]["Y2Y1"] == [0, 1]
+
+
+def test_invariants_validate_factor_and_degree_before_the_table(capsys):
+    for flags, message in [
+        (("--factor", "0"), "factor must be in 1..2, got 0"),
+        (("--factor", "3", "--degree", "0"), "factor must be in 1..2, got 3"),
+        (("--factor", "1", "--degree", "-2"), "degree must be >= 0, got -2"),
+    ]:
+        code, out, err = run(capsys, "invariants", "A12", "--strands", "3", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"biorder: error: {message}\n"
 
 
 def test_singular_sum_witness_value(capsys):
@@ -175,6 +199,31 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert first == second
 
 
+def test_verify_on_two_strands_has_no_relators_to_insert(capsys):
+    code, out, err = run(capsys, "verify", "--samples", "20", "--strands", "2", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["relator_insertions"] == {"samples": 0, "failures": []}
+    assert payload["passed"] is True
+
+
+def test_verify_builds_only_the_relators_it_draws(capsys, monkeypatch):
+    argvs = [("verify", "--samples", "60", "--strands", n, "--json") for n in ("5", "6")]
+    outputs = [run(capsys, *argv) for argv in argvs]
+    with monkeypatch.context() as patch:  # the route through every relator
+        patch.setattr(cli, "conjugation_relator", lambda n, k: braid.conjugation_relators(n)[k])
+        assert [run(capsys, *argv) for argv in argvs] == outputs
+
+    def refuse(strands):
+        raise AssertionError(f"built all relators of P_{strands}")
+
+    monkeypatch.setattr(braid, "conjugation_relators", refuse)
+    monkeypatch.setattr(cli, "conjugation_relators", refuse, raising=False)
+    code, out, err = run(capsys, "verify", "--samples", "20", "--strands", "12", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["relator_insertions"] == {"samples": 5, "failures": []}
+
+
 def test_verify_human_output_names_suites(capsys):
     code, out, _ = run(capsys, "verify", "--samples", "20")
     assert code == 0
@@ -195,6 +244,9 @@ def test_usage_errors_exit_one(capsys):
     )
     assert code == 1
     assert "monomial" in err
+    code, _, err = run(capsys, "verify", "--strands", "1")
+    assert code == 1
+    assert err == "biorder: error: strands must be >= 2, got 1\n"
 
 
 def test_braid_syntax_errors_exit_one(capsys):
@@ -243,3 +295,9 @@ def test_closed_stdout_pipe_exits_one_without_traceback():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def test_every_export_resolves_once():
+    assert len(set(biorder.__all__)) == len(biorder.__all__)
+    missing = [name for name in biorder.__all__ if not hasattr(biorder, name)]
+    assert not missing

@@ -1,4 +1,4 @@
-"""Tests for truncated series arithmetic and the DegLex comparison."""
+"""Tests for truncated series arithmetic and the DegLex scan."""
 
 import random
 from fractions import Fraction
@@ -9,15 +9,11 @@ from biorder.series import (
     Monomial,
     TruncSeries,
     Verdict,
-    deglex_compare,
-    exp,
-    from_json_obj,
-    inverse,
-    log,
-    series_compare,
+    deglex_key,
     series_compare_witness,
     to_json_obj,
 )
+from test_chen import exp
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles, kept independent of the implementation under test.
@@ -40,34 +36,6 @@ def naive_mul(a, b, rank, trunc):
             if len(ka) + len(kb) <= trunc:
                 k = ka + kb
                 out[k] = out.get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def naive_exp(a, rank, trunc):
-    """sum a^k / k! with repeated naive multiplication."""
-    out = {(): Fraction(1)}
-    power = {(): 1}
-    fact = 1
-    for k in range(1, trunc + 1):
-        power = naive_mul(power, a, rank, trunc)
-        fact *= k
-        for key, val in power.items():
-            out[key] = out.get(key, 0) + Fraction(val, 1) / fact
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def naive_log(a, rank, trunc):
-    """sum (-1)^(k+1) (a-1)^k / k with repeated naive multiplication."""
-    u = dict(a)
-    u[()] = u.get((), 0) - 1
-    u = {k: v for k, v in u.items() if v != 0}
-    out = {}
-    power = {(): 1}
-    for k in range(1, trunc + 1):
-        power = naive_mul(power, u, rank, trunc)
-        sign = 1 if k % 2 == 1 else -1
-        for key, val in power.items():
-            out[key] = out.get(key, 0) + Fraction(sign * val, k)
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -94,19 +62,18 @@ def random_series(rng, rank, trunc, density=0.5, constant=None):
 
 
 def test_deglex_degree_dominates():
-    assert deglex_compare(Monomial(2, (2,)), Monomial(2, (1, 1))) is Verdict.LESS
+    assert deglex_key((2,)) < deglex_key((1, 1))
 
 
 def test_deglex_direction_pin_within_degree():
-    assert deglex_compare(Monomial(2, (1, 2)), Monomial(2, (2, 1))) is Verdict.LESS
-    assert deglex_compare(Monomial(2, (2, 1)), Monomial(2, (1, 2))) is Verdict.GREATER
-    assert deglex_compare(Monomial(2, (1,)), Monomial(2, (2,))) is Verdict.LESS
+    assert deglex_key((1, 2)) < deglex_key((2, 1))
+    assert deglex_key((1,)) < deglex_key((2,))
 
 
 def test_deglex_equal_and_rank_mismatch():
-    assert deglex_compare(Monomial(2, (1, 2)), Monomial(2, (1, 2))) is Verdict.EQUAL
+    assert deglex_key((1, 2)) == deglex_key((1, 2))
     with pytest.raises(ValueError):
-        deglex_compare(Monomial(2, (1,)), Monomial(3, (1,)))
+        series_compare_witness(TruncSeries.unit(2, 1), TruncSeries.unit(3, 1))
 
 
 def test_monomial_validation():
@@ -177,41 +144,7 @@ def test_scalar_multiplication():
 
 
 # ---------------------------------------------------------------------------
-# Inverse, exp, log.
-
-
-def test_inverse_frozen_example():
-    # (1 + X1 + X2)^(-1) at N=2, from the truncated geometric series
-    s = TruncSeries.from_terms(2, 2, [((), 1), ((1,), 1), ((2,), 1)])
-    expected = {
-        (): 1,
-        (1,): -1,
-        (2,): -1,
-        (1, 1): 1,
-        (1, 2): 1,
-        (2, 1): 1,
-        (2, 2): 1,
-    }
-    assert inverse(s).terms == expected
-
-
-def test_inverse_requires_constant_one():
-    with pytest.raises(ValueError):
-        inverse(TruncSeries.zero(2, 2))
-    with pytest.raises(ValueError):
-        inverse(TruncSeries.from_terms(2, 2, [((), 2)]))
-
-
-def test_inverse_two_sided_on_random_series():
-    rng = random.Random(22)
-    for _ in range(200):
-        rank = rng.choice([1, 2, 3])
-        trunc = rng.choice([0, 1, 2, 3, 4, 5])
-        s = random_series(rng, rank, trunc, constant=1)
-        one = TruncSeries.unit(rank, trunc)
-        inv = inverse(s)
-        assert s * inv == one
-        assert inv * s == one
+# The truncated exponential behind test_chen's exact holonomy oracle.
 
 
 def test_exp_frozen_example():
@@ -224,40 +157,6 @@ def test_exp_frozen_example():
     }
 
 
-def test_log_frozen_example():
-    s = TruncSeries.from_terms(1, 2, [((), 1), ((1,), 1)])
-    assert log(s).terms == {(1,): 1, (1, 1): Fraction(-1, 2)}
-
-
-def test_exp_log_match_naive_oracles():
-    rng = random.Random(23)
-    for _ in range(25):
-        rank = rng.choice([1, 2])
-        trunc = rng.choice([1, 2, 3, 4])
-        a = random_series(rng, rank, trunc, constant=0)
-        assert exp(a).terms == naive_exp(a.terms, rank, trunc)
-        b = random_series(rng, rank, trunc, constant=1)
-        assert log(b).terms == naive_log(b.terms, rank, trunc)
-
-
-def test_exp_log_are_mutually_inverse():
-    rng = random.Random(24)
-    for _ in range(40):
-        rank = rng.choice([1, 2, 3])
-        trunc = rng.choice([1, 2, 3, 4])
-        a = random_series(rng, rank, trunc, constant=0)
-        assert log(exp(a)) == a
-        b = random_series(rng, rank, trunc, constant=1)
-        assert exp(log(b)) == b
-
-
-def test_exp_log_domain_errors():
-    with pytest.raises(ValueError):
-        exp(TruncSeries.unit(2, 2))
-    with pytest.raises(ValueError):
-        log(TruncSeries.zero(2, 2))
-
-
 # ---------------------------------------------------------------------------
 # Comparison.
 
@@ -266,16 +165,8 @@ def test_series_compare_first_difference_decides():
     # differ first at X1X2 (DegLex-smaller than X2X1)
     a = TruncSeries.from_terms(2, 2, [((), 1), ((2, 1), 1)])
     b = TruncSeries.from_terms(2, 2, [((), 1), ((1, 2), 1)])
-    assert series_compare(a, b) is Verdict.LESS
     verdict, key, ca, cb = series_compare_witness(a, b)
     assert verdict is Verdict.LESS and key == (1, 2) and (ca, cb) == (0, 1)
-
-
-def test_series_compare_exact_vs_truncated():
-    a = TruncSeries.unit(2, 3)
-    b = TruncSeries.unit(2, 3)
-    assert series_compare(a, b) is Verdict.EQUAL
-    assert series_compare(a, b, exact=False) is None
 
 
 def test_series_compare_antisymmetry_on_random_pairs():
@@ -284,9 +175,9 @@ def test_series_compare_antisymmetry_on_random_pairs():
         rank, trunc = 2, rng.choice([1, 2, 3])
         a = random_series(rng, rank, trunc)
         b = random_series(rng, rank, trunc)
-        v = series_compare(a, b)
-        assert series_compare(b, a) is v.flipped()
-        assert (v is Verdict.EQUAL) == (a == b)
+        v, key, ca, cb = series_compare_witness(a, b)
+        assert series_compare_witness(b, a) == (v.flipped(), key, cb, ca)
+        assert (v is Verdict.EQUAL) == (a == b) == (key is None)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +192,12 @@ def test_truncation_coherence():
         m = rng.randrange(0, n + 1)
         a_n = random_series(rng, rank, n, constant=1)
         b_n = random_series(rng, rank, n)
-        a_m, b_m = a_n.truncate(m), b_n.truncate(m)
-        assert (a_n * b_n).truncate(m) == a_m * b_m
-        assert (a_n + b_n).truncate(m) == a_m + b_m
-        assert inverse(a_n).truncate(m) == inverse(a_m)
+
+        def cut(s):  # from_terms drops the terms above degree m
+            return TruncSeries.from_terms(rank, m, s.terms)
+
+        assert cut(a_n * b_n) == cut(a_n) * cut(b_n)
+        assert cut(a_n + b_n) == cut(a_n) + cut(b_n)
 
 
 def test_json_round_trip_is_exact():
@@ -312,12 +205,10 @@ def test_json_round_trip_is_exact():
     for _ in range(30):
         s = random_series(rng, rng.choice([1, 2, 3]), rng.choice([0, 1, 2, 3]))
         obj = to_json_obj(s)
-        back = from_json_obj(obj)
-        assert back == s
-        assert to_json_obj(back) == obj
-    assert from_json_obj({"rank": 2, "trunc": 1, "terms": [[[1], 2, 4]]}).coefficient(
-        (1,)
-    ) == Fraction(1, 2)
+        assert (obj["rank"], obj["trunc"]) == (s.rank, s.trunc)
+        back = {tuple(key): Fraction(num, den) for key, num, den in obj["terms"]}
+        assert back == s.terms
+    assert to_json_obj(TruncSeries(2, 1, {(1,): Fraction(2, 4)}))["terms"] == [[[1], 1, 2]]
 
 
 def test_json_rows_are_deglex_sorted():
