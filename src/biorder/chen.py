@@ -7,26 +7,52 @@ bump with opposite sign).  Iterated integrals of these forms, indexed by
 monomials, assemble into a truncated series-valued holonomy that is
 multiplicative under loop concatenation and sends the x_i loop to exp(X_i).
 
-Everything in here is floating point, but every integrand is piecewise
-polynomial, so a modest Gauss-Legendre collocation cascade computes the
-integrals to near machine precision.  Each value carries an error estimate
-(disagreement of two node counts plus a rounding floor) and the comparison
-routine refuses to decide anything within its noise band.
+The values are floating point, and two proofs stand behind them.
+
+Node rule.  The bump 30u^2(1-u)^2 has degree 4, so step j of the cascade of
+nested antiderivatives integrates a polynomial of degree 5j - 1 on each
+segment.  On N Gauss-Legendre nodes the collocation antiderivative is exact
+below degree N and the weights through degree 2N - 1, so N(t) =
+max(5(t - 1), ceil(5t/2)) makes a degree-t walk exact in exact arithmetic.
+With t = max(trunc, MAX_HOLONOMY_TRUNC) that is 15 nodes for every trunc up
+to the cap, so values there do not depend on trunc, and 20 and 25 nodes at
+trunc 5 and 6.
+
+Error bar (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 3).  A degree-k coefficient over S segments is a sum over paths of
+products of k rule entries, each path meeting at most N + S + 8 roundings
+per level, and that sum taken with absolute values is at most
+rho^k C(S+k-1, k), where rho (about 1) is the largest absolute mass the rule
+gives one segment.  The float rule also misses the exact one, by its
+residual r on the shifted Legendre polynomials.  A degree-(5j - 1)
+integrand f has Legendre coefficients of absolute sum at most 5j ||f||_2,
+and ||bump||_2 = sqrt(10/7), so step j adds at most sqrt(10/7) 5j r times
+the bound on the values it integrates.  The bar is
+(gamma_{k(N+S+8)} + sqrt(10/7) r 5k(k+1)/2) rho^k C(S+k-1, k): it depends
+on S, k and N, never on the values.
+
+The 1/2 rule.  With phi the algebra map X_i -> exp(X_i) - 1, the x_i loop
+has holonomy exp(X_i) = phi(1 + X_i), so H(w) = phi(M(w)) for the Magnus
+expansion M.  phi adds to a degree-d part only terms of degree above d, so
+H(b) - H(a) has the lowest nonzero part of M(b) - M(a): in DegLex order its
+coefficients are 0 up to the first nonzero one, an integer.
+``holonomy_compare`` therefore decides at the first key whose difference
+exceeds 1/2, which is exact while the two error bars there sum to less
+than 1/2.  It returns None where they reach 1/2, and when trunc is below
+the deciding degree.
 
 The integral of X_{i1}..X_{ik} is one step of the cascade past that of its
-prefix X_{i1}..X_{i(k-1)}, so the series is computed as a walk over the trie
-of index tuples, one degree at a time, that keeps each prefix's cascade
-state: Σ r^k steps through degree k instead of Σ k·r^k, with every value
-produced by the same floating-point operations as a cascade of its own.
-``holonomy_compare`` walks both loops in lockstep and stops at the deciding
-degree, so coefficients above it are never computed.
+prefix, so the series is a walk over the trie of index tuples, one degree
+at a time: Σ r^k steps through degree k instead of Σ k·r^k, every value by
+the same floating-point operations as a cascade of its own.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -34,14 +60,7 @@ from .freegroup import FreeWord
 from .series import Verdict
 
 MAX_HOLONOMY_TRUNC = 4  # the word count per degree grows as rank**degree
-DEFAULT_NODE_COUNTS = (26, 34, 46)
-DEFAULT_TOL = 1e-9
-DEFAULT_MARGIN = 1e-6
-
-
-class QuadratureError(RuntimeError):
-    """The node-count ladder never brought the two-resolution disagreement
-    under the requested tolerance."""
+_BUMP_L2 = math.sqrt(10.0 / 7.0)  # the L2 norm of the bump on [0, 1]
 
 
 def bump_density(u: float | np.ndarray) -> float | np.ndarray:
@@ -77,31 +96,64 @@ class LoopModel:
         return len(self.segments)
 
 
-@functools.lru_cache(maxsize=None)
-def _collocation(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [0,1], weights, and the antiderivative matrix.
+def _gamma(roundings: int, unit: float = float(np.finfo(np.float64).eps) / 2) -> float:
+    """Higham's gamma_n: the relative error bound of n roundings."""
+    return roundings * unit / (1.0 - roundings * unit)
 
-    The matrix maps values of a polynomial at the nodes to values of its
-    antiderivative (vanishing at 0) at the same nodes; it is exact for
-    polynomial degree < nodes.
+
+def _node_count(trunc: int) -> int:
+    """The node rule: exact through degree max(trunc, MAX_HOLONOMY_TRUNC)."""
+    t = max(trunc, MAX_HOLONOMY_TRUNC)
+    return max(5 * (t - 1), -(-5 * t // 2))
+
+
+def _legendre_tables(t: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_q at ``t`` for q <= 2·nodes, and for q < nodes the antiderivative
+    from x = 0 of P_q(2x - 1) at x = (t + 1)/2, both in the dtype of ``t``."""
+    vander = np.polynomial.legendre.legvander(t, 2 * nodes)
+    anti = np.empty((len(t), nodes), dtype=t.dtype)
+    anti[:, 0] = (t + 1) / 2
+    for q in range(1, nodes):
+        anti[:, q] = (vander[:, q + 1] - vander[:, q - 1]) / (2 * (2 * q + 1))
+    return vander, anti
+
+
+@functools.lru_cache(maxsize=None)
+def _collocation(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Gauss-Legendre weights on [0,1], the antiderivative matrix (exact on
+    values of polynomials of degree < nodes), the bump at the nodes, and the
+    rule's residual and growth.  The residual is the float rule's largest
+    miss on a shifted Legendre polynomial, measured in extended precision at
+    the nodes used, plus a generous bound on the rounding of that measurement;
+    the growth is the largest absolute mass the rule gives one segment, >= 1.
     """
     t, wt = np.polynomial.legendre.leggauss(nodes)
     x = (t + 1.0) / 2.0
     weights = wt / 2.0
-    vander = np.polynomial.legendre.legvander(t, nodes)  # columns P_0..P_nodes
-    v = vander[:, :nodes]
-    anti = np.empty_like(v)
-    anti[:, 0] = x
-    for q in range(1, nodes):
-        anti[:, q] = (vander[:, q + 1] - vander[:, q - 1]) / (2.0 * (2 * q + 1))
-    matrix = np.linalg.solve(v.T, anti.T).T
-    return x, weights, matrix
+    vander, anti = _legendre_tables(t, nodes)
+    matrix = np.linalg.solve(vander[:, :nodes].T, anti.T).T
+    bump = np.asarray(bump_density(x))
+    wide = np.longdouble
+    vander_w, anti_w = _legendre_tables(2 * x.astype(wide) - 1, nodes)
+    quadrature_miss = weights.astype(wide) @ vander_w[:, : 2 * nodes]
+    quadrature_miss[0] -= 1
+    measured = max(
+        float(np.abs(matrix.astype(wide) @ vander_w[:, :nodes] - anti_w).max()),
+        float(np.abs(quadrature_miss).max()),
+    )
+    size = float(np.abs(matrix).sum(axis=1).max()) + 1.0
+    residual = measured + _gamma(10 * nodes, float(np.finfo(wide).eps) / 2) * size
+    growth = max(1.0, float((np.abs(matrix) @ bump).max()), float(weights @ bump))
+    return weights, matrix, bump, residual, growth
 
 
-@functools.lru_cache(maxsize=None)
-def _bump_at_nodes(nodes: int) -> np.ndarray:
-    x, _, _ = _collocation(nodes)
-    return np.asarray(bump_density(x))
+def _error_bound(segments: int, degree: int, nodes: int) -> float:
+    """The a-priori bar on every degree-``degree`` coefficient of a loop of
+    ``segments`` segments, for ``degree`` >= 1 (module docstring)."""
+    *_, residual, growth = _collocation(nodes)
+    rounding = _gamma(degree * (nodes + segments + 8))
+    rule = _BUMP_L2 * residual * 5 * degree * (degree + 1) / 2
+    return (rounding + rule) * growth**degree * math.comb(segments + degree - 1, degree)
 
 
 def _step(
@@ -118,8 +170,7 @@ def _step(
     broadcasts to the values an array of it would hold.  ``keep_level=False``
     skips the arrays of a key nothing extends; the integral is the same.
     """
-    _, weights, matrix = _collocation(nodes)
-    bump = _bump_at_nodes(nodes)
+    weights, matrix, bump, _, _ = _collocation(nodes)
     carry = 0.0
     nxt: list[np.ndarray | float] = []
     for letter, prev in zip(segments, level):
@@ -143,95 +194,48 @@ def _cascade(segments: tuple[int, ...], indices: tuple[int, ...], nodes: int) ->
     return carry
 
 
-def _ladder(
-    value_at: Callable[[int], float],
-    segments: tuple[int, ...],
-    indices: tuple[int, ...],
-    node_counts: tuple[int, ...],
-    tol: float,
-) -> tuple[float, float]:
-    """Climb the node counts until two consecutive values agree within
-    ``tol``, asking for each value only once the one below has not sufficed."""
-    floor = 1e-15 * (len(segments) + len(indices))
-    value = value_at(node_counts[0])
-    for nodes in node_counts[1:]:
-        refined = value_at(nodes)
-        estimate = abs(refined - value) + floor * (1.0 + abs(refined))
-        if estimate <= tol:
-            return refined, estimate
-        value = refined
-    raise QuadratureError(
-        f"integral for {indices} over {len(segments)} segments did not "
-        f"stabilize below {tol} on node counts {node_counts}"
-    )
-
-
-def _check_node_counts(node_counts: tuple[int, ...]) -> None:
-    if len(node_counts) < 2:
-        raise ValueError("need at least two node counts for an error estimate")
-
-
-def iterated_integral(
-    loop: LoopModel,
-    indices: tuple[int, ...],
-    *,
-    node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Value and error estimate of one iterated integral along the loop.
+def iterated_integral(loop: LoopModel, indices: tuple[int, ...]) -> tuple[float, float]:
+    """Value and error bar of one iterated integral along the loop.
 
     ``indices`` names the monomial X_{i1}..X_{ik}; the empty tuple gives the
-    constant term 1.  The error estimate is the disagreement between two
-    consecutive node counts plus a rounding floor; if the ladder in
-    ``node_counts`` never gets the disagreement under ``tol``, raises
-    QuadratureError rather than returning a number it cannot stand behind.
+    constant term 1.  The value is one cascade at the node count of the node
+    rule for degree k, exact in exact arithmetic, and the bar is the
+    a-priori rounding bound for S segments and degree k (module docstring).
+    Through MAX_HOLONOMY_TRUNC both are bit for bit what ``holonomy_series``
+    gives for the key.
     """
     for i in indices:
         if not 1 <= i <= loop.rank:
             raise ValueError(f"index {i} out of range for rank {loop.rank}")
-    _check_node_counts(node_counts)
     if not indices:
         return 1.0, 0.0
-    if not loop.segments:
-        return 0.0, 0.0
-    return _ladder(
-        lambda nodes: _cascade(loop.segments, indices, nodes),
-        loop.segments, indices, node_counts, tol,
-    )
+    k = len(indices)
+    nodes = _node_count(k)
+    return _cascade(loop.segments, indices, nodes), _error_bound(len(loop), k, nodes)
 
 
 def _walk(
-    loop: LoopModel, trunc: int, node_counts: tuple[int, ...], tol: float
+    loop: LoopModel, trunc: int
 ) -> Iterator[dict[tuple[int, ...], tuple[float, float]]]:
     """One dict of (value, error) per degree 1..``trunc``, keys in lex order,
     each computed only when asked for.
 
-    Each node count keeps the cascade state of every prefix it has reached,
-    so a monomial costs one ``_step`` past its prefix.
+    Each degree keeps the cascade state of its keys, so a monomial costs one
+    ``_step`` past its prefix; every key of a degree shares one error bar.
     """
-    _check_node_counts(node_counts)
+    nodes = _node_count(trunc)
     segments = loop.segments
-    reached = {nodes: {(): ([1.0] * len(segments), 0.0)} for nodes in node_counts}
-
-    def cascade(nodes: int, key: tuple[int, ...]) -> tuple[list, float]:
-        known = reached[nodes]
-        if key not in known:
-            level, _ = cascade(nodes, key[:-1])
-            known[key] = _step(segments, level, key[-1], nodes, len(key) < trunc)
-        return known[key]
-
-    keys: list[tuple[int, ...]] = [()]
-    for _ in range(trunc):
-        keys = [key + (i,) for key in keys for i in range(1, loop.rank + 1)]
-        if not segments:
-            yield {key: (0.0, 0.0) for key in keys}
-            continue
-        yield {
-            key: _ladder(
-                lambda nodes: cascade(nodes, key)[1], segments, key, node_counts, tol
-            )
-            for key in keys
-        }
+    states: dict[tuple[int, ...], list] = {(): [1.0] * len(segments)}
+    for degree in range(1, trunc + 1):
+        error = _error_bound(len(segments), degree, nodes)
+        coefficients, extended = {}, {}
+        for prefix, level in states.items():
+            for i in range(1, loop.rank + 1):
+                key = prefix + (i,)
+                extended[key], value = _step(segments, level, i, nodes, degree < trunc)
+                coefficients[key] = (value, error)
+        states = extended
+        yield coefficients
 
 
 @dataclass(frozen=True)
@@ -262,18 +266,18 @@ def holonomy_series(
     trunc: int = MAX_HOLONOMY_TRUNC,
     *,
     allow_deep: bool = False,
-    node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
-    tol: float = DEFAULT_TOL,
 ) -> HolonomySeries:
     """All iterated integrals of the loop through the given degree.
 
-    One walk over the monomial trie; every value and error is the one
-    ``iterated_integral`` gives for its key.
+    One walk over the monomial trie at the one node count of the node rule
+    for max(trunc, MAX_HOLONOMY_TRUNC), with the a-priori error bar of each
+    degree (module docstring).  Through MAX_HOLONOMY_TRUNC every value and
+    error is bit for bit the one ``iterated_integral`` gives for its key.
     """
     _check_trunc(trunc, allow_deep)
     values: dict[tuple[int, ...], float] = {(): 1.0}
     errors: dict[tuple[int, ...], float] = {(): 0.0}
-    for coefficients in _walk(loop, trunc, node_counts, tol):
+    for coefficients in _walk(loop, trunc):
         for key, (value, err) in coefficients.items():
             values[key] = value
             errors[key] = err
@@ -285,36 +289,32 @@ def holonomy_compare(
     b: FreeWord,
     *,
     trunc: int = MAX_HOLONOMY_TRUNC,
-    margin: float = DEFAULT_MARGIN,
     allow_deep: bool = False,
-    node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
-    tol: float = DEFAULT_TOL,
 ) -> Verdict | None:
-    """Order two words by the first numerically-resolved holonomy monomial.
+    """Order two words by the first holonomy difference past 1/2.
 
-    Scans coefficient differences in graded lexicographic order and decides
-    at the first one exceeding both error estimates plus ``margin``.  Freely
-    equal words compare EQUAL outright; otherwise, if every monomial through
-    ``trunc`` is inside the noise band, returns None (indeterminate) instead
-    of guessing.
-
-    The walks of the two loops advance in lockstep, one degree at a time, and
-    the scan stops at the deciding degree: coefficients above it are never
-    computed, so a QuadratureError up there does not abort a comparison that
-    a lower degree has decided.
+    Scans H(a) - H(b) in graded lexicographic order and decides at the first
+    key where it exceeds 1/2 in absolute value.  By H(w) = phi(M(w)) every
+    true difference before that key is 0 and the one at it a nonzero
+    integer, so the verdict is the exact Magnus order (module docstring).
+    Freely equal words compare EQUAL outright.  Returns None (indeterminate)
+    at the first key whose two error bars sum to 1/2 or more, and when no
+    difference through ``trunc`` exceeds 1/2.  The two walks advance in
+    lockstep and stop at the deciding degree.
     """
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     if a.letters == b.letters:
         return Verdict.EQUAL
     _check_trunc(trunc, allow_deep)
-    walk_a = _walk(LoopModel.from_word(a), trunc, node_counts, tol)
-    walk_b = _walk(LoopModel.from_word(b), trunc, node_counts, tol)
+    walk_a = _walk(LoopModel.from_word(a), trunc)
+    walk_b = _walk(LoopModel.from_word(b), trunc)
     for coeffs_a, coeffs_b in zip(walk_a, walk_b):
         for key, (value_a, err_a) in coeffs_a.items():
             value_b, err_b = coeffs_b[key]
+            if err_a + err_b >= 0.5:
+                return None
             diff = value_a - value_b
-            noise = err_a + err_b + margin
-            if abs(diff) > noise:
+            if abs(diff) > 0.5:
                 return Verdict.LESS if diff < 0 else Verdict.GREATER
     return None

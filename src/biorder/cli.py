@@ -6,9 +6,9 @@ for braids, ``holonomy`` for the numerical route, and ``verify`` for the
 randomized order-axiom harness.
 
 Exit codes: 0 on success (including an honest "indeterminate"), 1 on usage
-or input errors, on a QuadratureError and when the reader of stdout closes
-it early, 2 when ``verify`` finds a property violation.  The default
-expansion degree can be set with the BIORDER_DEGREE environment variable.
+or input errors and when the reader of stdout closes it early, 2 when
+``verify`` finds a property violation.  The default expansion degree can be
+set with the BIORDER_DEGREE environment variable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from typing import Sequence
 
 from .braid import (
-    BraidSyntaxError,
     braid_compare,
     braid_witness,
     comb,
@@ -35,16 +34,9 @@ from .braid import (
     relator_count,
     singular_alternating_sum,
 )
-from .chen import (
-    MAX_HOLONOMY_TRUNC,
-    LoopModel,
-    QuadratureError,
-    holonomy_compare,
-    holonomy_series,
-)
+from .chen import MAX_HOLONOMY_TRUNC, LoopModel, holonomy_compare, holonomy_series
 from .freegroup import (
     FreeWord,
-    WordSyntaxError,
     format_word,
     magnus_expand,
     magnus_witness,
@@ -89,6 +81,14 @@ def _default_degree() -> int:
         raise _UsageError(f"{DEGREE_ENV_VAR} must be an integer, got {raw!r}")
     if degree < 0:
         raise _UsageError(f"{DEGREE_ENV_VAR} must be >= 0, got {degree}")
+    return degree
+
+
+def _degree(args) -> int:
+    """``--degree``, or the default degree where it is omitted."""
+    degree = args.degree if args.degree is not None else _default_degree()
+    if degree < 0:
+        raise _UsageError(f"degree must be >= 0, got {degree}")
     return degree
 
 
@@ -213,7 +213,7 @@ def _cmd_compare(args) -> int:
             "verdict": name,
         }
     else:  # holonomy
-        degree = args.degree if args.degree is not None else _default_degree()
+        degree = _degree(args)
         try:
             verdict_or_none = holonomy_compare(a, b, trunc=degree)
         except ValueError:
@@ -268,12 +268,10 @@ def _cmd_comb(args) -> int:
 
 def _cmd_invariants(args) -> int:
     braid = parse_braid(args.braid, args.strands)
-    degree = args.degree if args.degree is not None else _default_degree()
     factor = args.factor
     if not 1 <= factor <= braid.strands - 1:
         raise _UsageError(f"factor must be in 1..{braid.strands - 1}, got {factor}")
-    if degree < 0:
-        raise _UsageError(f"degree must be >= 0, got {degree}")
+    degree = _degree(args)
     import itertools
 
     rows = []
@@ -328,7 +326,7 @@ def _cmd_singular_sum(args) -> int:
 
 def _cmd_holonomy(args) -> int:
     word = _parse_word_inferring_rank(args.word, args.rank)
-    degree = args.degree if args.degree is not None else _default_degree()
+    degree = _degree(args)
     if degree > MAX_HOLONOMY_TRUNC and not args.allow_deep:
         raise _UsageError(
             f"degree {degree} exceeds {MAX_HOLONOMY_TRUNC}; the monomial count "
@@ -371,6 +369,8 @@ def _report_obj(report: HarnessReport) -> dict:
 def _cmd_verify(args) -> int:
     if args.strands < 2:
         raise _UsageError(f"strands must be >= 2, got {args.strands}")
+    if args.samples < 0:
+        raise _UsageError(f"samples must be >= 0, got {args.samples}")
     rng = random.Random(args.seed)
     reports: list[HarnessReport] = []
 
@@ -534,10 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except _UsageError as exc:
-        print(f"biorder: error: {exc}", file=sys.stderr)
-        return 1
-    except (WordSyntaxError, BraidSyntaxError, ValueError, QuadratureError) as exc:
+    except (_UsageError, ValueError) as exc:  # the syntax errors are ValueErrors
         print(f"biorder: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help and friends

@@ -141,6 +141,7 @@ def test_criterion_4_numerical_holonomy_matches_exact_order():
                     exp_ok = False
     rng = random.Random(104)
     indeterminate = 0
+    shallow_undecided = 0  # None although a^-1 b has depth <= trunc
     mismatches = 0
     for _ in range(200):
         a = random_reduced_word(rng, 2, rng.randrange(0, 6))
@@ -148,12 +149,14 @@ def test_criterion_4_numerical_holonomy_matches_exact_order():
         verdict = holonomy_compare(a, b, trunc=4)
         if verdict is None:
             indeterminate += 1
+            shallow_undecided += lcs_depth(a.inverse() * b, 4) is not None
         elif verdict is not magnus_compare(a, b):
             mismatches += 1
-    ok = exp_ok and mismatches == 0 and indeterminate < 10
+    ok = exp_ok and mismatches == 0 and indeterminate < 10 and shallow_undecided == 0
     report(4, ok, f"generator holonomy = exponential within 1e-8 through degree 4 "
                   f"({'yes' if exp_ok else 'no'}); order agreement 200 pairs: "
-                  f"{mismatches} mismatches, {indeterminate}/200 indeterminate (<5%)")
+                  f"{mismatches} mismatches, {indeterminate}/200 indeterminate (<5%), "
+                  f"{shallow_undecided} of them with depth <= 4 (must be 0)")
 
 
 # -- 5 ----------------------------------------------------------------------

@@ -147,15 +147,15 @@ def test_holonomy_subcommand(capsys):
     assert abs(value - 0.5) <= err + 1e-9
 
 
-def test_quadrature_failure_is_an_error_not_a_traceback(capsys):
-    # Degree 4 of x1^30 cannot pass the node ladder.
-    code, out, err = run(
-        capsys, "holonomy", " ".join(["x1"] * 30), "--rank", "1", "--degree", "4"
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("biorder: error: integral for (1, 1, 1, 1)")
-    assert "did not stabilize" in err
+def test_holonomy_of_a_long_power_exits_zero(capsys):
+    argv = ["holonomy", " ".join(["x1"] * 30), "--rank", "1", "--degree", "4"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "X1X1X1X1: +" in out
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    value, bar = json.loads(out)["coefficients"]["X1X1X1X1"]
+    assert abs(value - 30**4 / 24) <= bar
 
 
 def test_holonomy_compare_decides_below_a_failing_degree(capsys):
@@ -247,6 +247,16 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "verify", "--strands", "1")
     assert code == 1
     assert err == "biorder: error: strands must be >= 2, got 1\n"
+    code, out, err = run(capsys, "verify", "--samples", "-3")
+    assert (code, out) == (1, "")
+    assert err == "biorder: error: samples must be >= 0, got -3\n"
+    for argv in (
+        ("holonomy", "x1", "--degree", "-1"),
+        ("compare", "x1", "x2", "--method", "holonomy", "--degree", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "biorder: error: degree must be >= 0, got -1\n"
 
 
 def test_braid_syntax_errors_exit_one(capsys):
